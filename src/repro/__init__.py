@@ -24,30 +24,36 @@ paper compares against.  Quick start::
     print(system.stats.bandwidth_share(0))   # ~0.75
 
 See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for measured
-reproductions of every figure.
+reproductions of every figure.  The names above resolve on first access
+(:mod:`repro._lazy`): ``import repro`` alone imports no simulator code.
 """
 
-from repro.baselines.none import NoQosMechanism
-from repro.baselines.source_only import SourceOnlyMechanism
-from repro.baselines.static_partition import static_partition_config
-from repro.baselines.target_only import TargetOnlyMechanism
-from repro.core.config import PabstConfig
-from repro.core.pabst import PabstMechanism
-from repro.dram.timing import DramTiming, PagePolicy
-from repro.qos.classes import QoSClass, QoSRegistry
-from repro.qos.monitor import BandwidthMonitor, OccupancyMonitor
-from repro.qos.shares import proportional_shares, strides_for_weights
-from repro.sim.config import SystemConfig
-from repro.sim.engine import Engine
-from repro.sim.mechanism import QoSMechanism
-from repro.sim.stats import Stats
-from repro.sim.system import System
-from repro.workloads.base import Access, Workload
-from repro.workloads.chaser import ChaserWorkload
-from repro.workloads.memcached import MemcachedWorkload
-from repro.workloads.periodic import PeriodicStreamWorkload
-from repro.workloads.spec import SPEC_PROFILES, SpecProxyWorkload, spec_workload
-from repro.workloads.stream import StreamWorkload, l3_resident_stream
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.none import NoQosMechanism
+    from repro.baselines.source_only import SourceOnlyMechanism
+    from repro.baselines.static_partition import static_partition_config
+    from repro.baselines.target_only import TargetOnlyMechanism
+    from repro.core.config import PabstConfig
+    from repro.core.pabst import PabstMechanism
+    from repro.dram.timing import DramTiming, PagePolicy
+    from repro.qos.classes import QoSClass, QoSRegistry
+    from repro.qos.monitor import BandwidthMonitor, OccupancyMonitor
+    from repro.qos.shares import proportional_shares, strides_for_weights
+    from repro.sim.config import SystemConfig
+    from repro.sim.engine import Engine
+    from repro.sim.mechanism import QoSMechanism
+    from repro.sim.stats import Stats
+    from repro.sim.system import System
+    from repro.workloads.base import Access, Workload
+    from repro.workloads.chaser import ChaserWorkload
+    from repro.workloads.memcached import MemcachedWorkload
+    from repro.workloads.periodic import PeriodicStreamWorkload
+    from repro.workloads.spec import SPEC_PROFILES, SpecProxyWorkload, spec_workload
+    from repro.workloads.stream import StreamWorkload, l3_resident_stream
 
 __version__ = "1.0.0"
 
@@ -83,3 +89,27 @@ __all__ = [
     "strides_for_weights",
     "__version__",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.baselines.none": ["NoQosMechanism"],
+    "repro.baselines.source_only": ["SourceOnlyMechanism"],
+    "repro.baselines.static_partition": ["static_partition_config"],
+    "repro.baselines.target_only": ["TargetOnlyMechanism"],
+    "repro.core.config": ["PabstConfig"],
+    "repro.core.pabst": ["PabstMechanism"],
+    "repro.dram.timing": ["DramTiming", "PagePolicy"],
+    "repro.qos.classes": ["QoSClass", "QoSRegistry"],
+    "repro.qos.monitor": ["BandwidthMonitor", "OccupancyMonitor"],
+    "repro.qos.shares": ["proportional_shares", "strides_for_weights"],
+    "repro.sim.config": ["SystemConfig"],
+    "repro.sim.engine": ["Engine"],
+    "repro.sim.mechanism": ["QoSMechanism"],
+    "repro.sim.stats": ["Stats"],
+    "repro.sim.system": ["System"],
+    "repro.workloads.base": ["Access", "Workload"],
+    "repro.workloads.chaser": ["ChaserWorkload"],
+    "repro.workloads.memcached": ["MemcachedWorkload"],
+    "repro.workloads.periodic": ["PeriodicStreamWorkload"],
+    "repro.workloads.spec": ["SPEC_PROFILES", "SpecProxyWorkload", "spec_workload"],
+    "repro.workloads.stream": ["StreamWorkload", "l3_resident_stream"],
+})

@@ -51,50 +51,44 @@ against; see EXPERIMENTS.md for the paper-vs-measured record.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from typing import Callable
 
-from repro.experiments import (
-    arena,
-    fig01_motivation,
-    fig05_proportional,
-    fig06_work_conserving,
-    fig07_source_and_target,
-    fig08_excess,
-    fig09_memcached,
-    fig10_isolation,
-    fig11_iaas,
-    fig12_efficiency,
-    soc256,
-)
-
 __all__ = ["EXPERIMENTS", "main"]
 
-EXPERIMENTS: dict[str, tuple[Callable, str]] = {
-    "fig01": (fig01_motivation.run,
+#: name -> (module, description); a module is imported only when its
+#: experiment runs, so ``repro run fig05`` never loads the other figures.
+EXPERIMENTS: dict[str, tuple[str, str]] = {
+    "fig01": ("repro.experiments.fig01_motivation",
               "source- vs target-only regulation on both mixes"),
-    "fig05": (fig05_proportional.run,
+    "fig05": ("repro.experiments.fig05_proportional",
               "proportional allocation: two stream classes at 7:3"),
-    "fig06": (fig06_work_conserving.run,
+    "fig06": ("repro.experiments.fig06_work_conserving",
               "work conservation with a phase-alternating streamer"),
-    "fig07": (fig07_source_and_target.run,
+    "fig07": ("repro.experiments.fig07_source_and_target",
               "PABST vs its source-only and target-only halves"),
-    "fig08": (fig08_excess.run,
+    "fig08": ("repro.experiments.fig08_excess",
               "proportional redistribution of unused bandwidth"),
-    "fig09": (fig09_memcached.run,
+    "fig09": ("repro.experiments.fig09_memcached",
               "memcached service-time distribution under co-location"),
-    "fig10": (fig10_isolation.run,
+    "fig10": ("repro.experiments.fig10_isolation",
               "SPEC weighted slowdown vs a streaming aggressor"),
-    "fig11": (fig11_iaas.run,
+    "fig11": ("repro.experiments.fig11_iaas",
               "IaaS consolidation vs a static bandwidth partition"),
-    "fig12": (fig12_efficiency.run,
+    "fig12": ("repro.experiments.fig12_efficiency",
               "memory-efficiency cost of bandwidth QoS"),
-    "soc256": (soc256.run,
+    "soc256": ("repro.experiments.soc256",
                "256-core/32-MC scale-out run (sharded-runner workload)"),
-    "arena": (arena.run,
+    "arena": ("repro.experiments.arena",
               "every QoS mechanism head-to-head over the scenario matrix"),
 }
+
+
+def _experiment_runner(name: str) -> Callable:
+    """Import experiment ``name``'s module and return its ``run``."""
+    return importlib.import_module(EXPERIMENTS[name][0]).run
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -107,7 +101,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _run_experiment(name: str, quick: bool, seed: int, sanitize: bool = False) -> None:
     from repro.experiments.common import sanitized
 
-    runner, description = EXPERIMENTS[name]
+    runner = _experiment_runner(name)
+    description = EXPERIMENTS[name][1]
     mode = "quick" if quick else "full"
     suffix = ", sanitized" if sanitize else ""
     print(f"== {name} ({mode}{suffix}): {description}")
@@ -380,7 +375,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     backend = _resolve_backend(args.backend)
     if backend is None:
         return 2
-    runner, description = EXPERIMENTS[args.experiment]
+    runner = _experiment_runner(args.experiment)
+    description = EXPERIMENTS[args.experiment][1]
     mode = "quick" if args.quick else "full"
     print(f"== {args.experiment} ({mode}, traced, backend={backend}): "
           f"{description}")

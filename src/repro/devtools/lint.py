@@ -30,12 +30,12 @@ DET005    no iteration over bare ``set`` literals/comprehensions —
 SIM001    ``Engine.schedule``/``schedule_at`` callsites must pass an
           int-typed delay expression (no float literals, ``float()``
           casts, or ``/`` in the delay argument).
-PERF001   ``networkx`` may only be imported by ``sim/topology.py``.
-          The mesh topology precomputes dense integer latency tables at
-          build time precisely so the per-event hot path never touches
-          graph algorithms; a new networkx import elsewhere in the
-          package almost always means shortest-path work crept back
-          into simulation code.
+PERF001   ``networkx`` may not be imported anywhere in the package.
+          Hop distances on the full mesh are Manhattan distances, filled
+          into dense integer latency tables at build time; importing a
+          graph library costs every process ~0.15 s of start-up and
+          usually means shortest-path work crept back into simulation
+          code.  (Tests may still use it as an oracle.)
 PERF002   ``heapq`` may only be imported by ``sim/engine.py``.  The
           timing-wheel scheduler keeps a heap solely for beyond-horizon
           overflow entries; a separate priority queue anywhere else in
@@ -470,26 +470,20 @@ class IntegerScheduleDelay(Rule):
 
 
 @register
-class NetworkxOnlyInTopology(Rule):
+class NoNetworkx(Rule):
     code = "PERF001"
-    summary = "networkx imports are confined to sim/topology.py"
-
-    #: The one module allowed to import networkx: it runs graph
-    #: algorithms once at build time to fill the dense latency tables.
-    _ALLOWED = ("sim", "topology.py")
+    summary = "networkx is never imported by the package"
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        return parts is not None and parts != cls._ALLOWED
+        return ctx.in_repro_package
 
     def _flag(self, node: ast.AST) -> None:
         self.report(
             node,
-            "networkx import outside sim/topology.py; graph algorithms "
-            "belong in the build-time latency-table precompute, not in "
-            "per-event simulation code (consume the dense tables on "
-            "MeshTopology instead)",
+            "networkx import in the package; mesh hop distances have a "
+            "closed form (consume the dense tables on MeshTopology), and "
+            "the import alone costs every process start-up time",
         )
 
     def visit_Import(self, node: ast.Import) -> None:

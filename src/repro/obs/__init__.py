@@ -19,16 +19,23 @@ Three cooperating pieces, all opt-in and all near-zero cost when unused
 :mod:`repro.obs.warnings` additionally collects the runner's swallowed
 I/O errors (cache/checkpoint store corruption) into process-global
 counters surfaced by ``repro cache --stats``.
+
+Re-exports resolve on first access (:mod:`repro._lazy`).
 """
 
-from repro.obs.registry import NULL_COUNTER, ObsCounter, Registry
-from repro.obs.streams import JsonlSink, MemorySink, epoch_record
-from repro.obs.trace import (
-    RequestTracer,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.warnings import obs_warn, reset_warning_counters, warning_counts
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.registry import NULL_COUNTER, ObsCounter, Registry
+    from repro.obs.streams import JsonlSink, MemorySink, epoch_record
+    from repro.obs.trace import (
+        RequestTracer,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+    from repro.obs.warnings import obs_warn, reset_warning_counters, warning_counts
 
 __all__ = [
     "JsonlSink",
@@ -44,3 +51,10 @@ __all__ = [
     "warning_counts",
     "write_chrome_trace",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.registry": ["NULL_COUNTER", "ObsCounter", "Registry"],
+    "repro.obs.streams": ["JsonlSink", "MemorySink", "epoch_record"],
+    "repro.obs.trace": ["RequestTracer", "validate_chrome_trace", "write_chrome_trace"],
+    "repro.obs.warnings": ["obs_warn", "reset_warning_counters", "warning_counts"],
+})

@@ -21,20 +21,28 @@ The nine ``fig*`` experiment modules each expose their grid as
 
 None of this code runs inside simulated time: the simulation kernels it
 drives stay bit-identical whether invoked directly, through a sweep, or
-from the cache (the cache stores the byte-exact report text).
+from the cache (the cache stores the byte-exact report text).  The
+re-exports below resolve on first access (:mod:`repro._lazy`), so a run
+that only needs :func:`source_fingerprint` never imports the process
+pool or the checkpoint store.
 """
 
-from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import (
-    Checkpoint,
-    CheckpointStore,
-    restore_system,
-    snapshot_system,
-    warmup_prefix_hash,
-)
-from repro.runner.fingerprint import source_fingerprint
-from repro.runner.pool import SweepOutcome, run_specs
-from repro.runner.spec import RunSpec, specs_for_figure
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runner.cache import ResultCache
+    from repro.runner.checkpoint import (
+        Checkpoint,
+        CheckpointStore,
+        restore_system,
+        snapshot_system,
+        warmup_prefix_hash,
+    )
+    from repro.runner.fingerprint import source_fingerprint
+    from repro.runner.pool import SweepOutcome, run_specs
+    from repro.runner.spec import RunSpec, specs_for_figure
 
 __all__ = [
     "Checkpoint",
@@ -49,3 +57,14 @@ __all__ = [
     "specs_for_figure",
     "warmup_prefix_hash",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.runner.cache": ["ResultCache"],
+    "repro.runner.checkpoint": [
+        "Checkpoint", "CheckpointStore", "restore_system", "snapshot_system",
+        "warmup_prefix_hash",
+    ],
+    "repro.runner.fingerprint": ["source_fingerprint"],
+    "repro.runner.pool": ["SweepOutcome", "run_specs"],
+    "repro.runner.spec": ["RunSpec", "specs_for_figure"],
+})

@@ -29,8 +29,7 @@ def figure_module(figure: str):
     if figure not in EXPERIMENTS:
         known = ", ".join(EXPERIMENTS)
         raise KeyError(f"unknown figure {figure!r}; known: {known}")
-    run_fn, _ = EXPERIMENTS[figure]
-    return importlib.import_module(run_fn.__module__)
+    return importlib.import_module(EXPERIMENTS[figure][0])
 
 
 def _run_kwargs(cell: Mapping[str, Any]) -> dict[str, Any]:

@@ -31,10 +31,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.dram.schedulers import SchedulingPolicy
 from repro.sim.records import MemoryRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    # typing only: a runtime import would add the edge sim.mechanism ->
+    # dram.schedulers -> repro.sim, a cycle whenever repro.sim re-exports
+    # sim.mechanism eagerly and repro.core or repro.dram loads first
+    from repro.dram.schedulers import SchedulingPolicy
     from repro.qos.classes import QoSRegistry
     from repro.sim.config import SystemConfig
     from repro.sim.system import System

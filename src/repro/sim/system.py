@@ -22,7 +22,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyOutcome, HitLevel
 from repro.cache.partition import WayPartition
@@ -31,7 +31,6 @@ from repro.cpu.model import Core
 from repro.cpu.mshr import AllocationResult, MshrFile
 from repro.dram.controller import MemoryController
 from repro.obs.registry import Registry
-from repro.obs.trace import RequestTracer
 from repro.qos.classes import QoSRegistry
 from repro.qos.monitor import BandwidthMonitor
 from repro.sim.config import SystemConfig
@@ -39,10 +38,12 @@ from repro.accel import make_engine
 from repro.sim.engine import _WHEEL_MASK
 from repro.sim.mechanism import QoSMechanism
 from repro.sim.records import AccessType, MemoryRequest
-from repro.sim.sanitizer import SimSanitizer
 from repro.sim.stats import Stats
 from repro.sim.topology import AddressMap, MeshTopology
 from repro.workloads.base import Access, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import RequestTracer
 
 __all__ = ["System"]
 
@@ -84,6 +85,9 @@ class System:
         # so the inlined wheel inserts below work against either)
         self.engine = make_engine(seed)
         if sanitize:
+            # imported on request: a plain run never loads the checker
+            from repro.sim.sanitizer import SimSanitizer
+
             self.engine.sanitizer = SimSanitizer()
         if tracer is not None:
             self.engine.tracer = tracer

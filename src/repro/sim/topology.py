@@ -10,15 +10,14 @@ Addresses are hashed uniformly across L3 slices and memory controllers, the
 paper's stated assumption for keeping the global wired-OR SAT signal
 meaningful (Section III-C1).
 
-networkx is used at construction time only: shortest-path distances are
-computed once and flattened into dense integer latency tables, so the
+Hop distances on the full mesh are Manhattan distances, computed once at
+construction and flattened into dense integer latency tables, so the
 per-request path is two list indexes.  ``repro lint`` rule PERF001 keeps
-graph-library imports from creeping back into per-event code.
+graph libraries (networkx) out of the package: they cost start-up time
+and a closed form needs none.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.sim.config import SystemConfig
 
@@ -105,12 +104,11 @@ class AddressMap:
 class MeshTopology:
     """2D mesh of tiles with memory controllers on the left/right edges.
 
-    Provides hop distances used to compute interconnect latency.  Built on a
-    :func:`networkx.grid_2d_graph` so distances come from actual shortest
-    paths rather than hand-rolled Manhattan arithmetic (they coincide on a
-    full mesh, which the tests assert).  The graph is consulted only in
-    ``__init__``: all pairwise latencies are flattened into dense integer
-    tables so the per-request path never touches networkx.
+    Provides hop distances used to compute interconnect latency.  Every
+    tile and MC sits on a full ``cols x rows`` grid, so the shortest path
+    between two of them is the Manhattan distance ``|dx| + |dy|`` (the
+    tests check this against a graph-search oracle).  All pairwise
+    latencies are flattened into dense integer tables in ``__init__``.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -118,28 +116,20 @@ class MeshTopology:
         self._rows = config.mesh_rows
         self._hop_cycles = config.noc_hop_cycles
         self._base_cycles = config.noc_base_cycles
-        graph = nx.grid_2d_graph(self._cols, self._rows)
         self._tile_coords = [
             (index % self._cols, index // self._cols)
             for index in range(self._cols * self._rows)
         ]
         self._mc_coords = self._place_mcs(config.num_mcs)
-        self._distance = dict(nx.all_pairs_shortest_path_length(graph))
         # Dense latency tables: [src][dst] indexing, plain ints.
         base = self._base_cycles
         hop = self._hop_cycles
         self._tile_tile_latency: list[list[int]] = [
-            [
-                base + self._distance[src][dst] * hop
-                for dst in self._tile_coords
-            ]
+            [base + self.hops(src, dst) * hop for dst in self._tile_coords]
             for src in self._tile_coords
         ]
         self._tile_mc_latency: list[list[int]] = [
-            [
-                base + self._distance[src][mc] * hop
-                for mc in self._mc_coords
-            ]
+            [base + self.hops(src, mc) * hop for mc in self._mc_coords]
             for src in self._tile_coords
         ]
 
@@ -170,8 +160,10 @@ class MeshTopology:
     def mc_coord(self, mc_id: int) -> tuple[int, int]:
         return self._mc_coords[mc_id]
 
-    def hops(self, src: tuple[int, int], dst: tuple[int, int]) -> int:
-        return self._distance[src][dst]
+    @staticmethod
+    def hops(src: tuple[int, int], dst: tuple[int, int]) -> int:
+        """Shortest-path hop count between two grid coordinates."""
+        return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
 
     def fused_route_tables(
         self, l3_latency: int

@@ -178,10 +178,11 @@ class TestPerf001NetworkxConfinement:
             "import networkx.algorithms\n", REPRO_PATH
         ) == ["PERF001"]
 
-    def test_topology_module_is_allowed(self):
+    def test_topology_module_is_flagged(self):
+        """No carve-out: the mesh's hop distances have a closed form."""
         assert codes(
             "import networkx as nx\n", "src/repro/sim/topology.py"
-        ) == []
+        ) == ["PERF001"]
 
     def test_tests_are_out_of_scope(self):
         assert codes("import networkx as nx\n", TEST_PATH) == []
