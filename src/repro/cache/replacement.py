@@ -10,7 +10,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-import numpy as np
+from repro.sim.rng import Generator
 
 __all__ = ["LruPolicy", "RandomPolicy", "ReplacementPolicy", "make_policy"]
 
@@ -59,13 +59,13 @@ class RandomPolicy(ReplacementPolicy):
     """Uniform random victim; useful as a property-test foil for LRU."""
 
     def __init__(self, num_sets: int, assoc: int, seed: int = 0) -> None:
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._rng = Generator(seed)
 
     def on_access(self, set_index: int, way: int) -> None:  # noqa: ARG002
         return None
 
     def victim(self, set_index: int, candidate_ways: Sequence[int]) -> int:
-        return candidate_ways[int(self._rng.integers(len(candidate_ways)))]
+        return candidate_ways[self._rng.integers(len(candidate_ways))]
 
 
 def make_policy(name: str, num_sets: int, assoc: int, seed: int = 0) -> ReplacementPolicy:

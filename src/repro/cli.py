@@ -215,6 +215,7 @@ def _split_csv(value: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
 def _cmd_arena(args: argparse.Namespace) -> int:
     import json
 
+    from repro.experiments import arena
     from repro.mechanisms import ALL_MECHANISMS
     from repro.runner import ResultCache, run_specs
     from repro.runner.spec import RunSpec

@@ -25,9 +25,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from repro.sim.engine import _WHEEL_MASK, Engine
+from repro.sim.rng import Generator
 from repro.workloads.base import Access, Workload
 
 __all__ = ["Core"]
@@ -66,7 +65,7 @@ class Core:
             if type(workload).on_complete is not Workload.on_complete
             else None
         )
-        self.rng: np.random.Generator = engine.rng(f"core.{core_id}")
+        self.rng: Generator = engine.rng(f"core.{core_id}")
         workload.bind(self)
 
         self.accesses_issued = 0

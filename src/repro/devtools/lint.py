@@ -18,7 +18,7 @@ DET002    no ambient randomness inside ``src/repro``: the stdlib
           ``random`` module, ``np.random.seed``, legacy
           ``np.random.RandomState``/global-state helpers, and unseeded
           ``np.random.default_rng()`` are all banned.  Randomness flows
-          through ``Engine.rng(name)`` or an injected ``Generator``.
+          through ``Engine.rng(name)``.
 DET003    no wall-clock reads (``time.time``, ``perf_counter``,
           ``datetime.now``, ...) inside the timed layers (``sim/``,
           ``core/``, ``dram/``, ``cache/``, ``cpu/``, ``qos/``).
@@ -30,12 +30,14 @@ DET005    no iteration over bare ``set`` literals/comprehensions —
 SIM001    ``Engine.schedule``/``schedule_at`` callsites must pass an
           int-typed delay expression (no float literals, ``float()``
           casts, or ``/`` in the delay argument).
-PERF001   ``networkx`` may not be imported anywhere in the package.
-          Hop distances on the full mesh are Manhattan distances, filled
-          into dense integer latency tables at build time; importing a
-          graph library costs every process ~0.15 s of start-up and
-          usually means shortest-path work crept back into simulation
-          code.  (Tests may still use it as an oracle.)
+PERF001   ``numpy`` and ``networkx`` may not be imported anywhere in the
+          package.  Seeded streams come from :mod:`repro.sim.rng`, a
+          bit-exact pure-Python port of numpy's PCG64, and hop distances
+          on the full mesh are Manhattan distances filled into dense
+          integer latency tables at build time.  Either import costs
+          every process start-up time (numpy also ~15 MB resident) for
+          work the package does not need.  (Tests may still use both as
+          oracles.)
 PERF002   ``heapq`` may only be imported by ``sim/engine.py``.  The
           timing-wheel scheduler keeps a heap solely for beyond-horizon
           overflow entries; a separate priority queue anywhere else in
@@ -276,7 +278,7 @@ class NoBuiltinHash(Rule):
 @register
 class NoAmbientRandomness(Rule):
     code = "DET002"
-    summary = "randomness must flow through Engine.rng or an injected Generator"
+    summary = "randomness must flow through Engine.rng"
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
@@ -288,7 +290,7 @@ class NoAmbientRandomness(Rule):
                 self.report(
                     node,
                     "stdlib random module carries ambient global state; "
-                    "use Engine.rng(name) or an injected np.random.Generator",
+                    "use Engine.rng(name)",
                 )
         self.generic_visit(node)
 
@@ -297,7 +299,7 @@ class NoAmbientRandomness(Rule):
             self.report(
                 node,
                 "stdlib random module carries ambient global state; "
-                "use Engine.rng(name) or an injected np.random.Generator",
+                "use Engine.rng(name)",
             )
         self.generic_visit(node)
 
@@ -321,7 +323,7 @@ class NoAmbientRandomness(Rule):
                 self.report(
                     node,
                     f"np.random.{fn} uses the hidden global generator; "
-                    "use Engine.rng(name) or an injected Generator",
+                    "use Engine.rng(name)",
                 )
         self.generic_visit(node)
 
@@ -469,33 +471,42 @@ class IntegerScheduleDelay(Rule):
         self.generic_visit(node)
 
 
+#: Packages PERF001 keeps out of ``src/repro``, with the replacement to use.
+_BANNED_PACKAGES = {
+    "networkx": "mesh hop distances have a closed form (consume the dense "
+    "tables on MeshTopology)",
+    "numpy": "seeded streams come from repro.sim.rng (bit-exact with "
+    "numpy's PCG64)",
+}
+
+
 @register
-class NoNetworkx(Rule):
+class NoNumpyOrNetworkx(Rule):
     code = "PERF001"
-    summary = "networkx is never imported by the package"
+    summary = "numpy and networkx are never imported by the package"
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
         return ctx.in_repro_package
 
-    def _flag(self, node: ast.AST) -> None:
-        self.report(
-            node,
-            "networkx import in the package; mesh hop distances have a "
-            "closed form (consume the dense tables on MeshTopology), and "
-            "the import alone costs every process start-up time",
-        )
+    def _check(self, node: ast.AST, module: str) -> None:
+        package = module.partition(".")[0]
+        hint = _BANNED_PACKAGES.get(package)
+        if hint is not None:
+            self.report(
+                node,
+                f"{package} import in the package; {hint}, and the import "
+                "alone costs every process start-up time",
+            )
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.name == "networkx" or alias.name.startswith("networkx."):
-                self._flag(node)
+            self._check(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module == "networkx" or module.startswith("networkx."):
-            self._flag(node)
+        if not node.level:
+            self._check(node, node.module or "")
         self.generic_visit(node)
 
 

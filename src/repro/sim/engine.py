@@ -74,9 +74,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import operator
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
+from repro.sim.rng import Generator, SeedSequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RequestTracer
@@ -235,11 +236,16 @@ class TimingWheel:
         ``int(0.5)`` silently truncating to 0 reorders events relative to a
         run where the caller meant 1; fractional cycle values are always a
         bug upstream (float arithmetic leaking into the timing model).
+        Any integral type (``__index__``, e.g. numpy ints) is accepted.
         """
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
+        if isinstance(value, float):
+            if value.is_integer():
+                return int(value)
+        else:
+            try:
+                return operator.index(value)
+            except TypeError:
+                pass
         raise SimulationError(
             f"non-integral {what}={value!r}; cycle arithmetic must produce "
             "ints (use // instead of /)"
@@ -830,7 +836,7 @@ class _EngineMixin:
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
         self._seed = seed
-        self._rng_children: dict[str, np.random.Generator] = {}
+        self._rng_children: dict[str, Generator] = {}
         self._epoch_listeners: list[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
@@ -847,7 +853,7 @@ class _EngineMixin:
     # ------------------------------------------------------------------
     # randomness
     # ------------------------------------------------------------------
-    def rng(self, name: str) -> np.random.Generator:
+    def rng(self, name: str) -> Generator:
         """Return a named, reproducible random generator.
 
         The same name always maps to the same stream for a given master
@@ -860,10 +866,7 @@ class _EngineMixin:
             # own streams and break cross-process replay.
             digest = hashlib.sha256(name.encode("utf-8")).digest()
             spawn_key = int.from_bytes(digest[:8], "big")
-            child_seed = np.random.SeedSequence(
-                entropy=self._seed, spawn_key=(spawn_key,)
-            )
-            generator = np.random.Generator(np.random.PCG64(child_seed))
+            generator = Generator(SeedSequence(self._seed, spawn_key=(spawn_key,)))
             self._rng_children[name] = generator
         return generator
 

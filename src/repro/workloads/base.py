@@ -17,10 +17,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from repro.cpu.model import Core
+    from repro.sim.rng import Generator
 
 __all__ = ["Access", "Workload"]
 
@@ -76,7 +75,7 @@ class Workload(ABC):
 
     def __init__(self) -> None:
         self.core: "Core | None" = None
-        self._rng: np.random.Generator | None = None
+        self._rng: "Generator | None" = None
         self._base_addr = 0
         # bound at bind(): lets generators read the clock without the
         # workload.now -> core.now -> engine.now property chain
@@ -97,7 +96,7 @@ class Workload(ABC):
         """Hook for subclasses needing per-core initialization."""
 
     @property
-    def rng(self) -> np.random.Generator:
+    def rng(self) -> "Generator":
         if self._rng is None:
             raise RuntimeError(f"workload {self.name!r} is not bound to a core")
         return self._rng

@@ -40,7 +40,7 @@ class ChaserWorkload(Workload):
         self._inst = instructions_per_access
 
     def next_access(self, context: int) -> Access | None:
-        line = int(self.rng.integers(self._lines))
+        line = self.rng.integers(self._lines)
         return Access(
             addr=self.base_addr + line * 64,
             is_write=False,

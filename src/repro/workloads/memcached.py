@@ -78,7 +78,7 @@ class MemcachedWorkload(Workload):
                 >= self._warmup + self._transactions
             ):
                 return None
-            chain = int(self.rng.integers(self._min_chain, self._max_chain + 1))
+            chain = self.rng.integers(self._min_chain, self._max_chain + 1)
             self._remaining_in_txn = chain + 1  # bucket walk + value read
             gap = self._think
             self._txn_start = self.now + gap  # issue time of the first access
@@ -87,9 +87,9 @@ class MemcachedWorkload(Workload):
 
         self._remaining_in_txn -= 1
         if self._remaining_in_txn == 0:
-            offset = self._value_base + int(self.rng.integers(self._value_lines)) * 64
+            offset = self._value_base + self.rng.integers(self._value_lines) * 64
         else:
-            offset = int(self.rng.integers(self._hash_lines)) * 64
+            offset = self.rng.integers(self._hash_lines) * 64
         return Access(
             addr=self.base_addr + offset,
             is_write=False,

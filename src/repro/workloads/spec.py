@@ -137,7 +137,7 @@ class SpecProxyWorkload(Workload):
     def on_bind(self) -> None:
         # desynchronize phases across cores/instances
         if self.profile.phase_cycles > 0:
-            self._phase_offset = int(self.rng.integers(self.profile.phase_cycles))
+            self._phase_offset = self.rng.integers(self.profile.phase_cycles)
 
     def in_memory_phase(self, now: int) -> bool:
         """True while the workload runs at full memory intensity."""
@@ -154,12 +154,12 @@ class SpecProxyWorkload(Workload):
         if mean <= 0:
             return 0
         # geometric with the requested mean, shifted so gap 0 is possible
-        return int(self.rng.geometric(1.0 / (mean + 1.0))) - 1
+        return self.rng.geometric(1.0 / (mean + 1.0)) - 1
 
     def next_access(self, context: int) -> Access | None:
         profile = self.profile
         if profile.random_fraction > 0 and self.rng.random() < profile.random_fraction:
-            line = int(self.rng.integers(self._lines))
+            line = self.rng.integers(self._lines)
         else:
             line = self._cursor % self._lines
             self._cursor += 1

@@ -196,6 +196,28 @@ class TestPerf001NetworkxConfinement:
         ) == []
 
 
+class TestPerf001NumpyConfinement:
+    def test_import_fires(self):
+        assert codes("import numpy as np\n") == ["PERF001"]
+
+    def test_from_import_fires(self):
+        assert codes("from numpy.random import Generator\n", REPRO_PATH) == ["PERF001"]
+
+    def test_submodule_import_fires(self):
+        assert codes("import numpy.random\n", REPRO_PATH) == ["PERF001"]
+
+    def test_message_names_the_replacement(self):
+        (diag,) = lint_source("import numpy as np\n", SIM_PATH)
+        assert "repro.sim.rng" in diag.message
+
+    def test_tests_are_out_of_scope(self):
+        """Tests keep numpy as the parity oracle of repro.sim.rng."""
+        assert codes("import numpy as np\n", TEST_PATH) == []
+
+    def test_lookalike_and_relative_imports_ok(self):
+        assert codes("import numpyish\nfrom .numpy import x\n") == []
+
+
 class TestPerf002HeapqConfinement:
     def test_import_in_sim_module_fires(self):
         assert codes("import heapq\n") == ["PERF002"]

@@ -6,9 +6,14 @@ imports only the modules it executes.  Two properties keep that true:
 * every ``repro`` module imports cleanly when it is the *first* one a
   fresh interpreter loads — lazy packages no longer fix a global import
   order, so a latent cycle shows up as an ``ImportError`` here;
-* building and running a plain PABST system loads no graph library, no
-  process pool, no checkpoint store, no sanitizer or tracer, and no
-  figure module — and nothing at all once simulated time is running.
+* building and running a plain PABST system loads no numpy, no graph
+  library, no process pool, no checkpoint store, no sanitizer or tracer,
+  and no figure module — and nothing at all once simulated time is
+  running;
+* chaser and SPEC-proxy runs, which draw ``integers`` and ``geometric``
+  from :mod:`repro.sim.rng`, load no numpy either, and the ziggurat tables
+  (:mod:`repro.sim._ziggurat`) load only once an inversion-path
+  ``geometric`` draw runs.
 
 Each test runs in its own subprocess so the host interpreter's
 ``sys.modules`` cannot mask a missing import.
@@ -66,6 +71,7 @@ def test_every_module_imports_first():
 
 
 FORBIDDEN_PREFIXES = (
+    "numpy",
     "networkx",
     "concurrent.futures",
     "multiprocessing",
@@ -78,31 +84,84 @@ FORBIDDEN_PREFIXES = (
 )
 
 
-def test_plain_pabst_run_imports_only_what_it_executes():
-    out = run_fresh(
-        """
+ZIGGURAT = "repro.sim._ziggurat"
+
+
+def run_two_classes(factory: str) -> dict:
+    """Build and run a 7:3 PABST system whose cores run ``factory()``."""
+    return run_fresh(
+        f"""
         import json, sys
 
-        from repro import PabstMechanism, StreamWorkload
+        from repro import PabstMechanism
         from repro.experiments import ClassSpec, build_system
+        from repro.workloads import ChaserWorkload, StreamWorkload, spec_workload
 
+        factory = {factory}
         specs = [
-            ClassSpec(0, "hi", weight=7, cores=2, workload_factory=StreamWorkload),
-            ClassSpec(1, "lo", weight=3, cores=2, workload_factory=StreamWorkload),
+            ClassSpec(0, "hi", weight=7, cores=2, workload_factory=factory),
+            ClassSpec(1, "lo", weight=3, cores=2, workload_factory=factory),
         ]
         system = build_system(specs, mechanism=PabstMechanism())
         before_run = set(sys.modules)
         system.run_epochs(2)
         during_run = sorted(set(sys.modules) - before_run)
         system.finalize()
-        print(json.dumps({
+        print(json.dumps({{
             "loaded": sorted(sys.modules),
             "during_run": during_run,
             "bytes": system.stats.total_bytes(),
-        }))
+        }}))
         """
     )
+
+
+def forbidden(out: dict) -> list[str]:
+    return [name for name in out["loaded"] if name.startswith(FORBIDDEN_PREFIXES)]
+
+
+def test_plain_pabst_run_imports_only_what_it_executes():
+    out = run_two_classes("StreamWorkload")
     assert out["bytes"] > 0
-    assert [name for name in out["loaded"] if name.startswith(FORBIDDEN_PREFIXES)] == []
+    assert forbidden(out) == []
+    assert ZIGGURAT not in out["loaded"]
     # imports deferred past build time would be charged to simulated time
     assert out["during_run"] == []
+
+
+def test_chaser_run_imports_no_numpy():
+    out = run_two_classes("ChaserWorkload")
+    assert out["bytes"] > 0
+    assert forbidden(out) == []
+    assert ZIGGURAT not in out["loaded"]
+    assert out["during_run"] == []
+
+
+def test_spec_proxy_run_imports_no_numpy():
+    # mcf's mean gap of 8 makes every gap an inversion-path geometric draw
+    out = run_two_classes('lambda: spec_workload("mcf")')
+    assert out["bytes"] > 0
+    assert forbidden(out) == []
+    assert ZIGGURAT in out["loaded"]
+    assert set(out["during_run"]) <= {ZIGGURAT}
+
+
+def test_ziggurat_tables_load_on_the_first_inversion_draw():
+    out = run_fresh(
+        f"""
+        import json, sys
+
+        from repro.sim.rng import Generator
+
+        rng = Generator(7)
+        steps = []
+        for p in (1.0, 0.5, 1 / 3, 0.25):
+            rng.geometric(p)
+            steps.append({ZIGGURAT!r} in sys.modules)
+        rng.integers(10)
+        rng.random()
+        print(json.dumps({{"steps": steps, "numpy": "numpy" in sys.modules}}))
+        """
+    )
+    # p >= 1/3 is searched; only p = 0.25 runs inversion over the ziggurat
+    assert out == {"steps": [False, False, False, True], "numpy": False}

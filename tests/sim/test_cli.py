@@ -22,6 +22,11 @@ class TestParser:
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_arena_rejects_unknown_scenario(self, capsys):
+        """The arena command resolves its scenario table on demand."""
+        assert main(["arena", "--scenarios", "bogus"]) == 2
+        assert "unknown scenario(s) ['bogus']" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

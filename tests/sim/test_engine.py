@@ -84,13 +84,32 @@ class TestIntegralDelays:
         assert seen == [3]
 
     def test_numpy_integer_accepted(self):
-        import numpy as np
+        np = pytest.importorskip("numpy")
 
         engine = Engine()
         seen = []
         engine.schedule(np.int64(4), lambda: seen.append(engine.now))
         engine.run()
         assert seen == [4]
+
+    def test_index_integer_accepted(self):
+        """Any integral type is coerced through ``__index__``."""
+
+        class Cycles:
+            def __index__(self):
+                return 6
+
+        engine = Engine()
+        seen = []
+        engine.schedule(Cycles(), lambda: seen.append(engine.now))
+        engine.schedule_at(Cycles(), lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [6, 6]
+
+    def test_non_integral_object_rejected(self):
+        engine = Engine()
+        with pytest.raises(SimulationError, match="non-integral delay"):
+            engine.schedule("3", lambda: None)
 
     def test_fractional_never_truncates_to_reordering(self):
         """The historic failure: int(0.5) -> 0 reordered events."""
@@ -211,21 +230,25 @@ class TestRun:
             engine.run(max_events=100)
 
 
+def draws(rng, n: int) -> list[int]:
+    return [rng.integers(0, 1 << 30) for _ in range(n)]
+
+
 class TestRng:
     def test_same_name_same_stream(self):
-        a = Engine(seed=7).rng("x").integers(0, 1 << 30, 10)
-        b = Engine(seed=7).rng("x").integers(0, 1 << 30, 10)
+        a = draws(Engine(seed=7).rng("x"), 10)
+        b = draws(Engine(seed=7).rng("x"), 10)
         assert list(a) == list(b)
 
     def test_different_names_different_streams(self):
         engine = Engine(seed=7)
-        a = engine.rng("x").integers(0, 1 << 30, 10)
-        b = engine.rng("y").integers(0, 1 << 30, 10)
+        a = draws(engine.rng("x"), 10)
+        b = draws(engine.rng("y"), 10)
         assert list(a) != list(b)
 
     def test_different_seeds_different_streams(self):
-        a = Engine(seed=1).rng("x").integers(0, 1 << 30, 10)
-        b = Engine(seed=2).rng("x").integers(0, 1 << 30, 10)
+        a = draws(Engine(seed=1).rng("x"), 10)
+        b = draws(Engine(seed=2).rng("x"), 10)
         assert list(a) != list(b)
 
     def test_rng_cached_per_name(self):
@@ -235,9 +258,9 @@ class TestRng:
     def test_stream_independent_of_creation_order(self):
         e1 = Engine(seed=3)
         e1.rng("a")
-        v1 = e1.rng("b").integers(0, 1 << 30, 5)
+        v1 = draws(e1.rng("b"), 5)
         e2 = Engine(seed=3)
-        v2 = e2.rng("b").integers(0, 1 << 30, 5)
+        v2 = draws(e2.rng("b"), 5)
         assert list(v1) == list(v2)
 
 
@@ -252,7 +275,8 @@ class TestRngCrossProcessStability:
 
     SNIPPET = (
         "from repro.sim.engine import Engine;"
-        "print(list(Engine(seed=7).rng('core.0').integers(0, 1 << 30, 8)))"
+        "rng = Engine(seed=7).rng('core.0');"
+        "print([rng.integers(0, 1 << 30) for _ in range(8)])"
     )
 
     def _draws(self, hash_seed: str) -> str:
@@ -276,7 +300,7 @@ class TestRngCrossProcessStability:
         assert len(draws) == 1, f"streams diverged across processes: {draws}"
 
     def test_subprocess_matches_in_process(self):
-        expected = list(Engine(seed=7).rng("core.0").integers(0, 1 << 30, 8))
+        expected = draws(Engine(seed=7).rng("core.0"), 8)
         assert self._draws("0") == str(expected)
 
 
@@ -292,8 +316,8 @@ class TestShardSeedCrossProcessStability:
     SNIPPET = (
         "from repro.sim.engine import Engine;"
         "from repro.sim.shard import shard_seed;"
-        "print(list(Engine(seed=shard_seed(7, 2)).rng('core.0')"
-        ".integers(0, 1 << 30, 8)))"
+        "rng = Engine(seed=shard_seed(7, 2)).rng('core.0');"
+        "print([rng.integers(0, 1 << 30) for _ in range(8)])"
     )
 
     def _draws(self, hash_seed: str) -> str:
@@ -320,15 +344,15 @@ class TestShardSeedCrossProcessStability:
         from repro.sim.shard import shard_seed
 
         expected = list(
-            Engine(seed=shard_seed(7, 2)).rng("core.0").integers(0, 1 << 30, 8)
+            draws(Engine(seed=shard_seed(7, 2)).rng("core.0"), 8)
         )
         assert self._draws("0") == str(expected)
 
     def test_shard_seed_diverges_from_root_stream(self):
         from repro.sim.shard import shard_seed
 
-        root = Engine(seed=7).rng("core.0").integers(0, 1 << 30, 8)
-        shard = Engine(seed=shard_seed(7, 1)).rng("core.0").integers(0, 1 << 30, 8)
+        root = draws(Engine(seed=7).rng("core.0"), 8)
+        shard = draws(Engine(seed=shard_seed(7, 1)).rng("core.0"), 8)
         assert list(root) != list(shard)
 
 
