@@ -13,7 +13,8 @@ Run:  python examples/iaas_consolidation.py [--workload soplex] [--epochs 80]
 
 import argparse
 
-from repro import SPEC_PROFILES, SystemConfig, spec_workload, static_partition_config
+from repro import SPEC_PROFILES, SystemConfig, spec_workload
+from repro.baselines import StaticPartitionMechanism
 from repro.core.pabst import PabstMechanism
 from repro.experiments.common import ClassSpec, build_system, run_system
 
@@ -22,14 +23,15 @@ CORES_PER_TENANT = 2
 
 
 def run_static(workload: str, epochs: int) -> float:
-    config = static_partition_config(
-        SystemConfig.default_experiment(cores=CORES_PER_TENANT, num_mcs=2), TENANTS
-    )
+    config = SystemConfig.default_experiment(cores=CORES_PER_TENANT, num_mcs=2)
     specs = [
         ClassSpec(0, workload, weight=1, cores=CORES_PER_TENANT,
                   workload_factory=lambda: spec_workload(workload))
     ]
-    system = build_system(specs, config=config)
+    system = build_system(
+        specs, config=config,
+        mechanism=StaticPartitionMechanism(share_divisor=TENANTS),
+    )
     run_system(system, epochs=epochs, warmup_epochs=1)
     return system.stats.ipc(0, system.engine.now) / CORES_PER_TENANT
 

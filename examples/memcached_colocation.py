@@ -14,7 +14,8 @@ import argparse
 
 from repro import MemcachedWorkload, StreamWorkload
 from repro.analysis.metrics import percentile
-from repro.experiments.common import ClassSpec, build_system, make_mechanism, run_system
+from repro.experiments.common import ClassSpec, build_system, run_system
+from repro.mechanisms import make_mechanism
 
 
 def run_config(label: str, mechanism: str | None, with_stream: bool, epochs: int):

@@ -14,12 +14,8 @@ import argparse
 
 from repro import SPEC_PROFILES, StreamWorkload, spec_workload
 from repro.analysis.metrics import weighted_slowdown
-from repro.experiments.common import (
-    ClassSpec,
-    build_system,
-    make_mechanism,
-    run_system,
-)
+from repro.experiments.common import ClassSpec, build_system, run_system
+from repro.mechanisms import make_mechanism
 
 PROTECTED_CORES = 4
 AGGRESSOR_CORES = 4

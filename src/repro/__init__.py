@@ -35,7 +35,6 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.baselines.none import NoQosMechanism
     from repro.baselines.source_only import SourceOnlyMechanism
-    from repro.baselines.static_partition import static_partition_config
     from repro.baselines.target_only import TargetOnlyMechanism
     from repro.core.config import PabstConfig
     from repro.core.pabst import PabstMechanism
@@ -85,7 +84,6 @@ __all__ = [
     "l3_resident_stream",
     "proportional_shares",
     "spec_workload",
-    "static_partition_config",
     "strides_for_weights",
     "__version__",
 ]
@@ -93,7 +91,6 @@ __all__ = [
 __getattr__ = lazy_exports(__name__, {
     "repro.baselines.none": ["NoQosMechanism"],
     "repro.baselines.source_only": ["SourceOnlyMechanism"],
-    "repro.baselines.static_partition": ["static_partition_config"],
     "repro.baselines.target_only": ["TargetOnlyMechanism"],
     "repro.core.config": ["PabstConfig"],
     "repro.core.pabst": ["PabstMechanism"],

@@ -27,7 +27,7 @@ The selected backend applies to engines built *after* selection;
 existing systems keep the backend they were built with.  Checkpoints are
 backend-neutral: wheel state lives in plain Python structures on both
 backends, so a snapshot saved under one restores under the other (see
-DESIGN.md §12).
+DESIGN.md §11).
 """
 
 from __future__ import annotations

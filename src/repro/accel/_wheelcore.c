@@ -6,7 +6,7 @@
  * backend classes subclass.  It is a *mirror*, not a redesign: every
  * loop below is a line-for-line port of the pure-Python reference, and
  * the determinism contract is byte-identical dispatch order — see
- * DESIGN.md §12 for the argument.
+ * DESIGN.md §11 for the argument.
  *
  * Marshal compatibility: all scheduler state lives in Python-visible
  * members (plain lists for the wheel/overflow, C long longs for the

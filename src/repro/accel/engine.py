@@ -6,8 +6,8 @@ containers as ordinary Python lists — and exposes every field under the
 pure class's attribute names via member descriptors.  That makes the two
 backends *attribute-compatible*: the pure scheduling entry points
 (``schedule``/``post``/``post_chain_at``/...), the sanitizer's restore
-audit, the shard reseeding hook, and the inlined wheel inserts in
-``system.py``/``controller.py`` all run unchanged against either class.
+audit, and the inlined wheel inserts in ``system.py``/``controller.py``
+all run unchanged against either class.
 
 Only the dispatch loops differ, so this module borrows the pure methods
 wholesale instead of re-implementing them: the scheduling surface *is*

@@ -2,13 +2,10 @@
 
 from repro.baselines.none import NoQosMechanism
 from repro.baselines.source_only import SourceOnlyMechanism
-from repro.baselines.static_partition import (
-    StaticPartitionMechanism,
-    static_partition_config,
-)
+from repro.baselines.static_partition import StaticPartitionMechanism
 from repro.baselines.target_only import TargetOnlyMechanism
 
 __all__ = [
     "NoQosMechanism", "SourceOnlyMechanism", "StaticPartitionMechanism",
-    "TargetOnlyMechanism", "static_partition_config",
+    "TargetOnlyMechanism",
 ]

@@ -2,10 +2,9 @@
 
 The paper approximates a hard 1/N bandwidth reservation by running the
 workload in isolation with DRAM frequency scaled down N times.  This module
-builds that configuration so the IaaS experiment can compare PABST's
-work-conserving equal shares against a static split, and wraps it as a
-first-class :class:`~repro.sim.mechanism.QoSMechanism` so the arena can
-run the baseline through the same interface as every other mechanism.
+expresses that configuration as a :class:`~repro.sim.mechanism.QoSMechanism`,
+so the IaaS experiment and the arena run the baseline through the same
+interface as every other mechanism.
 """
 
 from __future__ import annotations
@@ -18,19 +17,7 @@ from repro.sim.mechanism import QoSMechanism
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qos.classes import QoSRegistry
 
-__all__ = ["StaticPartitionMechanism", "static_partition_config"]
-
-
-def static_partition_config(config: SystemConfig, share_divisor: int) -> SystemConfig:
-    """Config emulating a static ``1/share_divisor`` bandwidth allocation.
-
-    All DRAM timings stretch by the divisor, which scales peak bandwidth
-    down while leaving core-side behaviour untouched — the paper's recipe
-    for the Fig. 11 baseline.
-    """
-    if share_divisor < 1:
-        raise ValueError("share_divisor must be >= 1")
-    return config.with_dram(config.dram.frequency_scaled(share_divisor))
+__all__ = ["StaticPartitionMechanism"]
 
 
 class StaticPartitionMechanism(QoSMechanism):
@@ -39,8 +26,10 @@ class StaticPartitionMechanism(QoSMechanism):
     Exercises the :meth:`~repro.sim.mechanism.QoSMechanism.prepare_config`
     hook: the "mechanism" is a machine-level config rewrite (DRAM slowed
     ``share_divisor`` times, emulating a hard 1/N reservation) with no
-    runtime behaviour of its own.  ``share_divisor=None`` defaults to the
-    number of QoS classes, the paper's equal-split setting.
+    runtime behaviour of its own.  All DRAM timings stretch by the
+    divisor, which scales peak bandwidth down while leaving core-side
+    behaviour untouched.  ``share_divisor=None`` defaults to the number
+    of QoS classes, the paper's equal-split setting.
     """
 
     name = "static-partition"
@@ -56,4 +45,4 @@ class StaticPartitionMechanism(QoSMechanism):
         divisor = self.share_divisor
         if divisor is None:
             divisor = max(1, len(registry.classes))
-        return static_partition_config(config, divisor)
+        return config.with_dram(config.dram.frequency_scaled(divisor))

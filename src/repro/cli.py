@@ -8,7 +8,7 @@ Usage::
     python -m repro sweep fig07 [--quick] [--workers N] [--no-cache]
                           [--warm-start] [--backend {pure,c,auto}]
     python -m repro arena [--quick] [--mechanisms a,b] [--scenarios x,y]
-                          [--workers N] [--output PATH] [--shards N]
+                          [--workers N] [--output PATH]
                           [--backend {pure,c,auto}]
     python -m repro checkpoint fig05 [--quick] [--seed N] | --stats | --clear
     python -m repro cache [--stats] [--clear]
@@ -80,7 +80,7 @@ EXPERIMENTS: dict[str, tuple[str, str]] = {
     "fig12": ("repro.experiments.fig12_efficiency",
               "memory-efficiency cost of bandwidth QoS"),
     "soc256": ("repro.experiments.soc256",
-               "256-core/32-MC scale-out run (sharded-runner workload)"),
+               "256-core/32-MC scale-out run on one engine"),
     "arena": ("repro.experiments.arena",
               "every QoS mechanism head-to-head over the scenario matrix"),
 }
@@ -161,16 +161,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; known: {known}",
               file=sys.stderr)
         return 2
-    if args.shards > 1 and args.warm_start:
-        print("--shards and --warm-start are incompatible: a checkpoint "
-              "captures one engine, not a shard ensemble", file=sys.stderr)
-        return 2
     backend = _resolve_backend(args.backend)
     if backend is None:
         return 2
     specs = specs_for_figure(
-        args.experiment, quick=args.quick, seed=args.seed, shards=args.shards,
-        backend=backend,
+        args.experiment, quick=args.quick, seed=args.seed, backend=backend,
     )
     cache = ResultCache(args.cache_dir)
     started = time.perf_counter()
@@ -245,7 +240,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             cell={"scenarios": (scenario,), "mechanisms": (mechanism,)},
             seed=args.seed,
             quick=args.quick,
-            shards=args.shards,
             backend=backend,
         )
         for scenario in scenarios
@@ -440,7 +434,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     document = run_bench(
         figures, quick=args.quick, seed=args.seed, repeat=args.repeat,
-        shards=args.shards, backend=backend,
+        backend=backend,
     )
     fingerprint = document.get("accel_fingerprint")
     tag = f", build {fingerprint}" if fingerprint else ""
@@ -451,17 +445,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{figure:<8} {entry['wall_seconds']:>8.2f}s  "
                   f"{entry['events']:>12,} events  "
                   f"{entry['events_per_sec']:>12,.0f} events/s")
-            sharding = entry.get("sharding")
-            if sharding is not None:
-                if sharding.get("ok"):
-                    print(f"{'':<8} sharded x{sharding['shards']}: "
-                          f"{sharding['wall_seconds']:.2f}s  "
-                          f"({sharding['speedup']:.2f}x, "
-                          f"{sharding['cpu_count']} cpu(s), byte-identical)")
-                else:
-                    failures += 1
-                    print(f"{'':<8} sharded x{sharding.get('shards')} FAILED: "
-                          f"{sharding.get('error')}")
             compiled = entry.get("compiled")
             if compiled is not None:
                 if compiled.get("ok"):
@@ -687,11 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--warm-start", action="store_true",
                        help="simulate each warm-up prefix once and fork the "
                             "remaining cells from its checkpoint")
-    sweep.add_argument("--shards", type=int, default=1,
-                       help="partition each cell's machine across N engines "
-                            "synchronized in conservative windows "
-                            "(byte-identical reports; incompatible with "
-                            "--warm-start)")
     _add_backend_argument(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -718,9 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     arena_cmd.add_argument("--cache-dir", default=".repro-cache",
                            help="result cache directory "
                                 "(default: .repro-cache)")
-    arena_cmd.add_argument("--shards", type=int, default=1,
-                           help="partition each cell's machine across N "
-                                "engines (byte-identical reports)")
     arena_cmd.add_argument("--output", default=None,
                            help="also write the merged repro.arena/v1 JSON "
                                 "document to this path")
@@ -799,10 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rewrite BENCH_baseline.json in place")
     bench.add_argument("--no-warm-start", action="store_true",
                        help="skip the cold-vs-warm-started sweep comparison")
-    bench.add_argument("--shards", type=int, default=1,
-                       help="additionally run each figure once through the "
-                            "sharded runner at this shard count and record "
-                            "wall/speedup (byte-checked vs single-process)")
     bench.add_argument("--no-history", action="store_true",
                        help="skip appending this run to BENCH_history.jsonl")
     _add_backend_argument(bench)

@@ -43,24 +43,9 @@ class SaturationMonitor:
         per-controller-governor alternative (Section III-C1); the wired-OR
         value is what the paper's baseline design broadcasts.
         """
-        return self.apply(
-            [
-                controller.sample_read_occupancy()
-                for controller in self._controllers
-            ]
-        )
-
-    def apply(self, occupancies: Sequence[float]) -> bool:
-        """Threshold + wired-OR over externally sampled occupancies.
-
-        Split out from :meth:`sample` so a sharded run can feed the
-        occupancies its target shards shipped at the epoch barrier
-        through the *identical* threshold arithmetic the single-process
-        monitor uses.
-        """
         saturated = False
         for index, controller in enumerate(self._controllers):
-            occupancy = occupancies[index]
+            occupancy = controller.sample_read_occupancy()
             self.last_occupancies[index] = occupancy
             threshold = self._threshold_fraction * controller.read_queue_capacity
             signal = occupancy > threshold

@@ -52,9 +52,7 @@ PERF003   serialization modules (``pickle``, ``marshal``, ``shelve``,
           overhead into simulation code.
 PERF004   process-parallelism modules (``multiprocessing``,
           ``concurrent.futures``) may only be imported under
-          ``runner/`` (the sweep pool and the shard backends) or by
-          ``sim/shard.py`` (which stays transport-agnostic but is the
-          sharding subsystem's home).  Worker processes are an
+          ``runner/`` (the sweep pool).  Worker processes are an
           orchestration concern; a pool inside simulation code would
           put nondeterministic scheduling next to the event loop the
           whole design keeps bit-deterministic.
@@ -598,19 +596,12 @@ class SerializationOnlyInCheckpoint(Rule):
 class ProcessParallelismOnlyInRunner(Rule):
     code = "PERF004"
     summary = (
-        "multiprocessing/concurrent.futures imports are confined to "
-        "runner/ and sim/shard.py"
+        "multiprocessing/concurrent.futures imports are confined to runner/"
     )
 
     #: Directory whose modules may spawn worker processes: the sweep
-    #: pool and the shard execution backends live here.
+    #: pool lives here.
     _ALLOWED_DIR = "runner"
-
-    #: The sharding subsystem's home module.  It deliberately imports
-    #: neither banned module today (it is transport-agnostic; the
-    #: backends in runner/shardpool.py own the pipes), but it is the
-    #: one sim/ module where boundary-transport code belongs.
-    _ALLOWED_FILE = ("sim", "shard.py")
 
     _BANNED = ("multiprocessing", "concurrent.futures")
 
@@ -619,18 +610,15 @@ class ProcessParallelismOnlyInRunner(Rule):
         parts = ctx.repro_parts
         if parts is None:
             return False
-        if len(parts) > 1 and parts[0] == cls._ALLOWED_DIR:
-            return False
-        return parts != cls._ALLOWED_FILE
+        return not (len(parts) > 1 and parts[0] == cls._ALLOWED_DIR)
 
     def _flag(self, node: ast.AST, module: str) -> None:
         self.report(
             node,
-            f"{module} import outside runner/ and sim/shard.py; worker "
-            "processes are an orchestration concern — route parallelism "
-            "through repro.runner (the sweep pool or the shard backends) "
-            "so nondeterministic OS scheduling never sits next to the "
-            "bit-deterministic event loop",
+            f"{module} import outside runner/; worker processes are an "
+            "orchestration concern — route parallelism through "
+            "repro.runner (the sweep pool) so nondeterministic OS "
+            "scheduling never sits next to the bit-deterministic event loop",
         )
 
     def _match(self, name: str) -> str | None:

@@ -531,7 +531,7 @@ class MemoryController:
                 engine.post_at(when, self._run_pass, token)
 
     # ------------------------------------------------------------------
-    # pickling (checkpoints, shard clones)
+    # pickling (checkpoints)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

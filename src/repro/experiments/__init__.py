@@ -25,17 +25,14 @@ if TYPE_CHECKING:
         fig12_efficiency,
     )
     from repro.experiments.common import (
-        MECHANISMS,
         ClassSpec,
         RunResult,
         build_system,
-        make_mechanism,
         run_system,
     )
 
 __all__ = [
-    "ClassSpec", "MECHANISMS", "RunResult", "build_system", "make_mechanism",
-    "run_system",
+    "ClassSpec", "RunResult", "build_system", "run_system",
     "fig01_motivation", "fig05_proportional", "fig06_work_conserving",
     "fig07_source_and_target", "fig08_excess", "fig09_memcached",
     "fig10_isolation", "fig11_iaas", "fig12_efficiency",
@@ -43,8 +40,7 @@ __all__ = [
 
 __getattr__ = lazy_exports(__name__, {
     "repro.experiments.common": [
-        "ClassSpec", "MECHANISMS", "RunResult", "build_system", "make_mechanism",
-        "run_system",
+        "ClassSpec", "RunResult", "build_system", "run_system",
     ],
     **{
         f"repro.experiments.{name}": [name]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.analysis.timeline import BandwidthTimeline
-from repro.mechanisms import MECHANISMS, make_mechanism
 from repro.qos.classes import QoSRegistry
 from repro.sim.config import SystemConfig
 from repro.sim.mechanism import QoSMechanism
@@ -27,14 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ClassSpec",
-    "MECHANISMS",
     "RunResult",
     "build_system",
     "config_overrides",
-    "make_mechanism",
     "run_system",
     "sanitized",
-    "sharded",
     "traced",
     "warm_start",
 ]
@@ -137,45 +133,6 @@ def traced(
         yield
     finally:
         _default_tracer, _default_sinks = previous
-
-
-# Shard count applied to every run_system() call inside a
-# :func:`sharded` block.  Fifth instance of the ambient-default pattern:
-# `repro sweep --shards N` parallelizes whole fig* runs without the
-# figure modules knowing the shard runner exists.
-_default_shards = 1
-
-
-@contextmanager
-def sharded(shards: int, backend: str = "process") -> Iterator[None]:
-    """Run every :func:`run_system` call inside the block sharded.
-
-    The machine is partitioned across ``shards`` engines synchronized
-    in conservative windows (DESIGN.md §11); reports are byte-identical
-    to single-process runs.  ``shards=1`` is the single-process path.
-    Incompatible with :func:`warm_start` / ``resume_from`` (a snapshot
-    captures one engine, not a shard ensemble) and with :func:`traced`
-    (the tracer would only see one shard's hops) — ``run_system``
-    raises on those combinations.
-    """
-    global _default_shards, _default_shard_backend
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    previous = (_default_shards, _default_shard_backend)
-    _default_shards = shards
-    _default_shard_backend = backend
-    try:
-        yield
-    finally:
-        _default_shards, _default_shard_backend = previous
-
-
-_default_shard_backend = "process"
-
-
-# MECHANISMS / make_mechanism now live in repro.mechanisms (the full
-# zoo, including the paper's baselines); re-exported here because the
-# fig* modules and external callers import them from this module.
 
 
 @dataclass(frozen=True)
@@ -295,22 +252,7 @@ def run_system(
     store = checkpoint_after_warmup
     if store is None:
         store = _default_checkpoint_store
-    if _default_shards > 1:
-        from repro.sim.engine import SimulationError
-
-        if resume_from is not None or store is not None:
-            raise SimulationError(
-                "sharded runs cannot warm-start: a checkpoint captures one "
-                "engine, not a shard ensemble"
-            )
-        from repro.runner.shardpool import run_sharded
-
-        # run_sharded returns the system finalized; finalize() must not
-        # run again (it would double-close the controllers' windows)
-        system = run_sharded(
-            system, epochs, _default_shards, backend=_default_shard_backend
-        )
-    elif resume_from is not None or (store is not None and warmup_epochs > 0):
+    if resume_from is not None or (store is not None and warmup_epochs > 0):
         system = _run_warm_started(
             system, epochs, warmup_epochs, store, resume_from
         )

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from repro.analysis.metrics import allocation_error, bandwidth_shares
 from repro.analysis.report import format_table
-from repro.experiments.common import build_system, make_mechanism, run_system
+from repro.experiments.common import build_system, run_system
 from repro.experiments.mixes import HI_WEIGHT, LO_WEIGHT, chaser_mix, stream_mix
+from repro.mechanisms import make_mechanism
 
 __all__ = ["Fig07Result", "MixOutcome", "run", "sweep_cells"]
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from repro.analysis.metrics import percentile
 from repro.analysis.report import format_table
-from repro.experiments.common import ClassSpec, build_system, make_mechanism, run_system
+from repro.experiments.common import ClassSpec, build_system, run_system
+from repro.mechanisms import make_mechanism
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.stream import StreamWorkload
 

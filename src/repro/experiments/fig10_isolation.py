@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import weighted_slowdown
 from repro.analysis.report import format_table
-from repro.experiments.common import ClassSpec, build_system, make_mechanism, run_system
+from repro.experiments.common import ClassSpec, build_system, run_system
+from repro.mechanisms import make_mechanism
 from repro.workloads.spec import SPEC_PROFILES, spec_workload
 from repro.workloads.stream import StreamWorkload
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.baselines.static_partition import static_partition_config
+from repro.baselines.static_partition import StaticPartitionMechanism
 from repro.core.pabst import PabstMechanism
 from repro.experiments.common import ClassSpec, build_system, run_system
 from repro.sim.config import SystemConfig
@@ -65,10 +65,7 @@ class Fig11Result:
 
 def _static_ipc(workload: str, epochs: int, seed: int) -> float:
     """One class alone on a machine with DRAM slowed 4x (per-core IPC)."""
-    config = static_partition_config(
-        SystemConfig.default_experiment(cores=CORES_PER_CLASS, num_mcs=2),
-        SHARE_DIVISOR,
-    )
+    config = SystemConfig.default_experiment(cores=CORES_PER_CLASS, num_mcs=2)
     specs = [
         ClassSpec(
             qos_id=0,
@@ -78,7 +75,12 @@ def _static_ipc(workload: str, epochs: int, seed: int) -> float:
             workload_factory=lambda: spec_workload(workload),
         )
     ]
-    system = build_system(specs, config=config, seed=seed)
+    system = build_system(
+        specs,
+        config=config,
+        mechanism=StaticPartitionMechanism(share_divisor=SHARE_DIVISOR),
+        seed=seed,
+    )
     run_system(system, epochs=epochs, warmup_epochs=1)
     return system.stats.ipc(0, system.engine.now) / CORES_PER_CLASS
 

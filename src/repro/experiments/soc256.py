@@ -1,16 +1,11 @@
-"""256-core scale-out run: the sharded runner's headline workload.
+"""256-core scale-out run on a single engine.
 
 Not a paper figure — the paper's Table III machine tops out at 32 cores —
 but the scaling scenario its epoch-based control loop is built for: a
 256-core, 32-channel SoC where a single engine's event loop is the
 simulation bottleneck.  Four bandwidth classes of pure streamers keep
 the run memory-bound, so most simulated work lives on the memory
-controllers — exactly the part a sharded run (``--shards N``) farms out
-to target shards.
-
-The report is byte-identical at any shard count, like every figure; the
-bench harness uses this config to measure the sharded runner's
-wall-clock behaviour (``repro bench soc256 --shards N``).
+controllers.  ``repro bench soc256`` times the engine at this scale.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ against.  This package collects every :class:`~repro.sim.mechanism
   windowed bandwidth regulation), and ``lms-ar`` (prediction-driven
   adaptive regulation).
 
-``repro arena`` runs the whole registry head-to-head; experiments keep
-using :func:`make_mechanism` (re-exported through
-``repro.experiments.common`` for backward compatibility).
+``repro arena`` runs the whole registry head-to-head; experiments build
+mechanisms by name with :func:`make_mechanism`.
 """
 
 from __future__ import annotations

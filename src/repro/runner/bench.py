@@ -71,7 +71,6 @@ def run_bench(
     quick: bool = True,
     seed: int = 0,
     repeat: int = 3,
-    shards: int = 1,
     backend: str = "pure",
 ) -> dict[str, Any]:
     """Time each figure ``repeat`` times; returns the bench document.
@@ -79,15 +78,6 @@ def run_bench(
     The reported wall time is the median across repeats (events/sec is
     derived from it); the event count is deterministic, so any repeat's
     count is the count.
-
-    With ``shards > 1`` each figure additionally runs once through the
-    sharded runner; the entry grows a ``"sharding"`` sub-document with
-    the sharded wall time, the speedup vs the single-process median,
-    and the host's CPU count (the honest context for that speedup — on
-    a single-CPU host the workers time-slice one core and the barrier
-    overhead makes the "speedup" a slowdown).  The sharded report is
-    byte-compared against the single-process one, so a determinism
-    break fails the bench instead of flattering it.
 
     ``backend`` selects the engine implementation the timed runs execute
     under (:mod:`repro.accel`; already resolved — "pure" or "c", never
@@ -139,10 +129,6 @@ def run_bench(
             entry["wall_seconds"] = round(wall, 4)
             entry["events_per_sec"] = round(entry["events"] / wall, 1) if wall > 0 else 0.0
             entry["repeats"] = len(walls)
-            if shards > 1:
-                entry["sharding"] = _bench_sharded(
-                    figure, quick, seed, shards, wall, report, backend
-                )
             if backend == "c":
                 entry["compiled"] = _bench_vs_pure(
                     figure, quick, seed, wall, report, fastpath
@@ -162,8 +148,6 @@ def run_bench(
         "git_revision": git_revision(),
         "figures": results,
     }
-    if shards > 1:
-        document["shards"] = shards
     return document
 
 
@@ -209,42 +193,6 @@ def _bench_vs_pure(
         entry["fastpath_misses"] = fastpath.get("misses")
         entry["fastpath_hit_rate"] = fastpath.get("hit_rate")
     return entry
-
-
-def _bench_sharded(
-    figure: str,
-    quick: bool,
-    seed: int,
-    shards: int,
-    baseline_wall: float,
-    baseline_report: str | None,
-    backend: str = "pure",
-) -> dict[str, Any]:
-    """One sharded run of a figure, byte-checked against the 1-shard report."""
-    import os
-
-    outcome = execute_spec(
-        RunSpec(figure=figure, quick=quick, seed=seed, shards=shards,
-                backend=backend)
-    )
-    cpu_count = os.cpu_count()
-    if not outcome.get("ok"):
-        return {"ok": False, "shards": shards, "error": outcome.get("error")}
-    if baseline_report is not None and outcome.get("report") != baseline_report:
-        return {
-            "ok": False,
-            "shards": shards,
-            "error": "sharded report diverged from single-process run",
-        }
-    wall = outcome["wall_seconds"]
-    return {
-        "ok": True,
-        "shards": shards,
-        "wall_seconds": round(wall, 4),
-        "speedup": round(baseline_wall / wall, 3) if wall > 0 else 0.0,
-        "cpu_count": cpu_count,
-        "byte_identical": baseline_report is not None,
-    }
 
 
 def run_warm_start_bench(
@@ -414,9 +362,6 @@ def append_history(
                 "wall_seconds": entry.get("wall_seconds"),
                 "events": entry.get("events"),
             }
-            sharding = entry.get("sharding")
-            if sharding is not None:
-                figures[figure]["sharding"] = dict(sharding)
             compiled = entry.get("compiled")
             if compiled is not None:
                 figures[figure]["compiled"] = dict(compiled)

@@ -57,7 +57,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "DEFAULT_CHECKPOINT_DIR",
-    "clone_system",
     "describe_component",
     "restore_system",
     "snapshot_system",
@@ -159,19 +158,6 @@ def warmup_prefix_hash(system: "System", warmup_epochs: int) -> str:
         default=str,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def clone_system(system: "System") -> "System":
-    """Deep, reference-preserving copy of a built system.
-
-    A pickle round-trip of the whole object graph — the same mechanism
-    checkpoints use, which is why this lives here (PERF003 confines
-    pickle to this module).  The in-process shard backend
-    (:mod:`repro.runner.shardpool`) clones the built system once per
-    shard so each shard mutates its own replica; no watermark handling
-    is needed because target shards never mint request ids.
-    """
-    return pickle.loads(pickle.dumps(system, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 # ----------------------------------------------------------------------

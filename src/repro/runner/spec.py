@@ -45,24 +45,16 @@ class RunSpec:
     seed: int = 0
     quick: bool = True
     overrides: Mapping[str, Any] = field(default_factory=dict)
-    #: Shard count the run executes under.  Sharded runs are
-    #: byte-identical to single-process ones, but the count (plus the
-    #: partition scheme) still enters the content hash: a determinism
-    #: bug in the shard runner must surface as a diff, never be papered
-    #: over by a cache hit recorded under a different shard count.
-    shards: int = 1
     #: Execution backend, already resolved ("pure" or "c" — never
     #: "auto"; the CLI resolves before building specs).  Backends are
     #: byte-identical by contract, but the identity still enters the
-    #: content hash for the same reason ``shards`` does: a determinism
-    #: bug in the compiled core must surface as a report diff, never be
-    #: papered over by a cache hit recorded under the other backend.
+    #: content hash: a determinism bug in the compiled core must surface
+    #: as a report diff, never be papered over by a cache hit recorded
+    #: under the other backend.
     backend: str = "pure"
 
     def canonical_json(self) -> str:
         """Stable JSON encoding used for hashing and cache metadata."""
-        from repro.sim.shard import ShardPlan
-
         payload = {
             "backend": self.backend,
             "figure": self.figure,
@@ -70,7 +62,6 @@ class RunSpec:
             "seed": self.seed,
             "quick": self.quick,
             "overrides": _canonical(self.overrides),
-            "sharding": {"shards": self.shards, "partition": ShardPlan.SCHEME},
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -110,10 +101,10 @@ class RunSpec:
             for key, value in self.cell.items()
             if key not in measure_keys
         }
-        # Deliberately backend-free (like shards): checkpoints are
-        # backend-neutral — wheel state marshals losslessly between the
-        # pure and compiled engines — so specs differing only in backend
-        # share one warm-up prefix.
+        # Deliberately backend-free: checkpoints are backend-neutral —
+        # wheel state marshals losslessly between the pure and compiled
+        # engines — so specs differing only in backend share one warm-up
+        # prefix.
         payload = {
             "figure": self.figure,
             "cell": _canonical(prefix_cell),
@@ -133,15 +124,14 @@ class RunSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "RunSpec":
+        """Inverse of :meth:`to_payload`."""
         return cls(
             figure=payload["figure"],
-            cell=dict(payload.get("cell", {})),
-            seed=int(payload.get("seed", 0)),
-            quick=bool(payload.get("quick", True)),
-            overrides=dict(payload.get("overrides", {})),
-            shards=int(payload.get("shards", 1)),
-            # payloads written before the backend field existed ran pure
-            backend=str(payload.get("backend", "pure")),
+            cell=dict(payload["cell"]),
+            seed=payload["seed"],
+            quick=payload["quick"],
+            overrides=dict(payload["overrides"]),
+            backend=payload["backend"],
         )
 
 
@@ -150,7 +140,6 @@ def specs_for_figure(
     quick: bool = True,
     seed: int = 0,
     overrides: Mapping[str, Any] | None = None,
-    shards: int = 1,
     backend: str = "pure",
 ) -> list[RunSpec]:
     """Expand one figure's ``sweep_cells`` grid into :class:`RunSpec` s."""
@@ -165,7 +154,6 @@ def specs_for_figure(
             seed=seed,
             quick=quick,
             overrides=dict(overrides or {}),
-            shards=shards,
             backend=backend,
         )
         for cell in cells

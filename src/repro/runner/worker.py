@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.spec import RunSpec
 
 __all__ = ["execute_payload", "execute_spec", "figure_module"]
 
@@ -60,40 +63,31 @@ def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
         }
 
 
-def execute_spec(spec: "Any", warm_start_dir: str | None = None) -> dict[str, Any]:
+def execute_spec(spec: RunSpec, warm_start_dir: str | None = None) -> dict[str, Any]:
     """Run one :class:`RunSpec` in-process and time it."""
     from contextlib import nullcontext
 
     from repro import accel
-    from repro.experiments.common import config_overrides, sharded, warm_start
+    from repro.experiments.common import config_overrides, warm_start
     from repro.sim.engine import dispatched_total
 
-    shards = getattr(spec, "shards", 1)
     # Backend selection wraps the whole run (construction included) so
-    # warm-start restores and shard clones re-resolve under it; "pure"
-    # still enters the context to shadow any ambient REPRO_ACCEL=c, since
-    # the spec's resolved backend is part of its content hash.
-    backing = accel.backend(getattr(spec, "backend", "pure"))
+    # warm-start restores re-resolve under it; "pure" still enters the
+    # context to shadow any ambient REPRO_ACCEL=c, since the spec's
+    # resolved backend is part of its content hash.
+    backing = accel.backend(spec.backend)
     if warm_start_dir is not None:
-        if shards > 1:
-            from repro.sim.engine import SimulationError
-
-            raise SimulationError(
-                "sharded specs cannot warm-start: a checkpoint captures "
-                "one engine, not a shard ensemble"
-            )
         from repro.runner.checkpoint import CheckpointStore
 
         warming = warm_start(CheckpointStore(warm_start_dir))
     else:
         warming = nullcontext()
-    sharding = sharded(shards) if shards > 1 else nullcontext()
     module = figure_module(spec.figure)
     kwargs = _run_kwargs(spec.cell)
     events_before = dispatched_total()
     fp_before = accel.fastpath_stats()
     started = time.perf_counter()
-    with backing, config_overrides(**dict(spec.overrides)), warming, sharding:
+    with backing, config_overrides(**dict(spec.overrides)), warming:
         result = module.run(quick=spec.quick, seed=spec.seed, **kwargs)
     wall = time.perf_counter() - started
     events = dispatched_total() - events_before

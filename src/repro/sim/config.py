@@ -168,14 +168,11 @@ class SystemConfig:
     def soc_256core(cls) -> "SystemConfig":
         """Scale-out stress machine: 256 cores, 16x16 mesh, 32 channels.
 
-        The headline workload for the sharded runner (DESIGN.md §11): a
-        machine big enough that one engine's event loop is the
-        bottleneck.  ``noc_base_cycles`` is raised to 16 so the
-        conservative lookahead window (the minimum tile<->MC latency)
-        spans at least 16 cycles — fewer barriers per epoch, which is
-        where sharded wall-clock wins come from.  Caches stay small so
-        traffic is memory-bound: most simulated work lands on the
-        target shards.
+        A machine big enough that one engine's event loop is the
+        bottleneck, used by the ``soc256`` scale-out experiment.
+        ``noc_base_cycles`` is 16, so every tile<->MC hop costs at
+        least 16 cycles.  Caches stay small so traffic is memory-bound:
+        most simulated work lands on the memory controllers.
         """
         return cls(
             cores=256,

@@ -65,9 +65,9 @@ component is scheduling-history dependent (NoC deliveries racing space
 notifications, read returns racing L3 hits) buffer their payloads and
 arm one late callback, which drains the buffer in a canonical sorted
 order.  The observable schedule then depends only on the buffered keys,
-never on which producer happened to post first — which is what lets a
-sharded run, whose producers fire in a completely different order,
-reproduce the single-process schedule bit for bit.
+never on which producer happened to post first, so it stays independent
+of event-insertion history: a change that reorders unrelated posts (a
+new fast path, a restored checkpoint, the other backend) cannot move it.
 """
 
 from __future__ import annotations
@@ -399,10 +399,9 @@ class TimingWheel:
 
         Only legal when no queued entry precedes ``when`` — i.e. after
         ``run_until(when - 1)`` has drained everything earlier.  Used by
-        window-synchronized drivers (epoch barriers, shard windows) that
-        need ``engine.now`` to stand at a boundary cycle *before* any of
-        that cycle's events run, so boundary work (epoch accounting,
-        cross-shard injection) observes the same clock in every mode.
+        the epoch barrier, which needs ``engine.now`` to stand at a
+        boundary cycle *before* any of that cycle's events run, so epoch
+        accounting observes the same clock however the run is chunked.
         """
         if type(when) is not int:
             when = self._as_cycles(when, "when")
@@ -840,7 +839,7 @@ class _EngineMixin:
         self._epoch_listeners: list[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
-    # pickling (checkpoints, shard clones)
+    # pickling (checkpoints)
     # ------------------------------------------------------------------
     def __reduce__(self):
         state = {name: getattr(self, name) for name in _ENGINE_STATE}

@@ -112,8 +112,7 @@ class MemoryRequest:
     #: Global NoC injection sequence number, stamped by the system when
     #: the request enters the network.  Ingress pumps and the response
     #: inbox sort on it, making admission/delivery order a function of
-    #: the traffic instead of event insertion order (and therefore
-    #: identical between single-process and sharded runs).
+    #: the traffic instead of event insertion order.
     noc_seq: int = -1
 
     # Derived from ``access`` once at construction: these flags sit on the

@@ -36,28 +36,7 @@ from __future__ import annotations
 from repro.sim.engine import _WHEEL_MASK, _WHEEL_SIZE, Event, SimulationError
 from repro.sim.records import MemoryRequest
 
-__all__ = ["SimSanitizer", "check_boundary_conservation"]
-
-
-def check_boundary_conservation(
-    pairs: list[tuple[int, int, int, int]],
-) -> None:
-    """Verify cross-shard message conservation at the end of a sharded run.
-
-    ``pairs`` holds one ``(src_shard, dst_shard, sent, received)`` tuple
-    per directed shard link: ``sent`` counted by the sender's runner,
-    ``received`` by the receiver's.  A mismatch means a boundary batch
-    was lost, duplicated, or delivered to the wrong shard — the sharded
-    analogue of the single-process conservation check, covering the
-    transport the per-engine sanitizers cannot see.
-    """
-    for src_shard, dst_shard, sent, received in pairs:
-        if sent != received:
-            raise SimulationError(
-                "sanitizer: cross-shard message conservation violated on "
-                f"link {src_shard}->{dst_shard}: sender counted {sent} "
-                f"message(s), receiver counted {received}"
-            )
+__all__ = ["SimSanitizer"]
 
 
 class SimSanitizer:

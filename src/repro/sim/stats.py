@@ -179,8 +179,8 @@ class Stats:
             start_cycle=self._last_epoch_end,
             end_cycle=now,
             # canonical key order: the dict's insertion order otherwise
-            # reflects which class completed a request first, which a
-            # sharded run (merging per-shard deltas) cannot reproduce
+            # reflects which class completed a request first, an accident
+            # of event-insertion history
             bytes_by_class=dict(sorted(self._epoch_bytes.items())),
             saturated=saturated,
             multiplier=multiplier,

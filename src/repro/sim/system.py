@@ -136,9 +136,8 @@ class System:
         ]
         # NoC injection sequence, stamped on every request entering the
         # network.  The ingress pumps sort arrivals on it, so admission
-        # order is a pure function of the traffic — not of the order the
-        # delivery events happened to be inserted — which is what lets a
-        # sharded run reproduce the single-process schedule exactly.
+        # order is a pure function of the traffic, not of the order the
+        # delivery events happened to be inserted.
         self._noc_seq = 0
         # per-MC ingress pump state: same-cycle arrivals buffer here and a
         # late-phase pump admits them (backlog first, then arrivals in
@@ -273,8 +272,7 @@ class System:
         boundary cycle's events.  Driving the tick from outside the
         event queue pins its position in the schedule (start-of-cycle,
         always), which a queued tick cannot guarantee once it round-trips
-        through the overflow heap — and it gives window-synchronized
-        runners (shard barriers) the same boundary semantics for free.
+        through the overflow heap.
         """
         if cycles <= 0:
             raise ValueError("cycles must be positive")
@@ -560,8 +558,8 @@ class System:
 
         Called inline from the controller's scheduling pass the moment a
         read issues.  The actual admission happens in the pump, so
-        backlog admission order is canonical no matter which pass (or
-        which shard's message) produced the hint.
+        backlog admission order is canonical no matter which pass
+        produced the hint.
         """
         self._mc_space_hint[mc_id] = True
         if not self._mc_pump_armed[mc_id]:

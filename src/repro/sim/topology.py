@@ -200,14 +200,3 @@ class MeshTopology:
     def tile_to_mc_latency(self, tile: int, mc_id: int) -> int:
         """One-way NoC latency from a tile to a memory controller."""
         return self._tile_mc_latency[tile][mc_id]
-
-    def min_tile_to_mc_latency(self) -> int:
-        """Minimum one-way tile<->MC latency over every (tile, MC) pair.
-
-        This is the conservative lookahead of a sharded run (DESIGN.md
-        §11): every cross-shard hop — an L2-miss delivery, a writeback, a
-        read return — crosses a tile<->MC link, so no message generated
-        inside a window of this width can demand delivery inside the same
-        window.  Always >= ``noc_base_cycles`` >= 1 by construction.
-        """
-        return min(min(row) for row in self._tile_mc_latency)

@@ -4,10 +4,7 @@ import pytest
 
 from repro.baselines.none import NoQosMechanism
 from repro.baselines.source_only import SourceOnlyMechanism
-from repro.baselines.static_partition import (
-    StaticPartitionMechanism,
-    static_partition_config,
-)
+from repro.baselines.static_partition import StaticPartitionMechanism
 from repro.baselines.target_only import TargetOnlyMechanism
 from repro.core.config import PabstConfig
 from repro.mechanisms import make_mechanism
@@ -75,24 +72,30 @@ class TestTargetOnly:
         assert released == [True]
 
 
+def static_partition(config, share_divisor):
+    """The config ``StaticPartitionMechanism`` hands to ``System``."""
+    mechanism = StaticPartitionMechanism(share_divisor=share_divisor)
+    return mechanism.prepare_config(config, QoSRegistry())
+
+
 class TestStaticPartition:
     def test_quarter_bandwidth(self):
         base = SystemConfig.default_experiment()
-        scaled = static_partition_config(base, 4)
+        scaled = static_partition(base, 4)
         assert scaled.peak_bandwidth == pytest.approx(base.peak_bandwidth / 4)
 
     def test_identity(self):
         base = SystemConfig.default_experiment()
-        assert static_partition_config(base, 1).peak_bandwidth == base.peak_bandwidth
+        assert static_partition(base, 1).peak_bandwidth == base.peak_bandwidth
 
     def test_identity_preserves_every_timing(self):
         base = SystemConfig.default_experiment()
-        assert static_partition_config(base, 1).dram == base.dram
+        assert static_partition(base, 1).dram == base.dram
 
     def test_all_timings_stretch_by_the_divisor(self):
         base = SystemConfig.default_experiment()
         for divisor in (2, 3, 8):
-            scaled = static_partition_config(base, divisor).dram
+            scaled = static_partition(base, divisor).dram
             assert scaled.t_rcd == base.dram.t_rcd * divisor
             assert scaled.t_cl == base.dram.t_cl * divisor
             assert scaled.t_rp == base.dram.t_rp * divisor
@@ -101,14 +104,15 @@ class TestStaticPartition:
     def test_bandwidth_scales_one_over_n(self):
         base = SystemConfig.default_experiment()
         for divisor in (2, 3, 8):
-            scaled = static_partition_config(base, divisor)
+            scaled = static_partition(base, divisor)
             assert scaled.peak_bandwidth == pytest.approx(
                 base.peak_bandwidth / divisor
             )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            static_partition_config(SystemConfig(), 0)
+        for divisor in (0, -1):
+            with pytest.raises(ValueError):
+                static_partition(SystemConfig(), divisor)
 
     def test_mechanism_validation(self):
         with pytest.raises(ValueError):
@@ -127,21 +131,13 @@ class TestStaticPartition:
 
 
 class TestMechanismWrapperEquivalence:
-    """Each baseline's mechanism object reproduces its config/ctor path
+    """Each baseline's registry entry reproduces its constructor
     byte-for-byte (same per-epoch stats records)."""
 
     def run_epochs(self, system, epochs=6):
         system.run_epochs(epochs)
         system.finalize()
         return system.stats.epochs
-
-    def test_static_partition_object_matches_config_path(self):
-        scaled = static_partition_config(SystemConfig.small_test(), 2)
-        via_config = self.run_epochs(make_system(None, config=scaled))
-        via_object = self.run_epochs(
-            make_system(StaticPartitionMechanism(share_divisor=2))
-        )
-        assert via_object == via_config
 
     @pytest.mark.parametrize(
         "name, ctor",

@@ -3,7 +3,7 @@
 The corpus harness lints each case's ``proj`` tree as if it were the
 ``repro`` package, so ``qos/governor.py`` here is subject to the same
 confinement rules as the real governor: process parallelism belongs in
-``runner/`` or ``sim/shard.py``, never next to the epoch control loop.
+``runner/``, never next to the epoch control loop.
 """
 
 import multiprocessing

@@ -296,17 +296,16 @@ class TestPerf004ProcessParallelismConfinement:
 
     def test_runner_modules_are_allowed(self):
         assert codes(
-            "import multiprocessing\n", "src/repro/runner/shardpool.py"
+            "import multiprocessing\n", "src/repro/runner/worker.py"
         ) == []
         assert codes(
             "from concurrent.futures import ProcessPoolExecutor\n",
             "src/repro/runner/pool.py",
         ) == []
 
-    def test_shard_module_is_allowed(self):
-        assert codes(
-            "import multiprocessing\n", "src/repro/sim/shard.py"
-        ) == []
+    def test_no_sim_module_is_allowed(self):
+        for path in ("src/repro/sim/shard.py", "src/repro/sim/system.py"):
+            assert codes("import multiprocessing\n", path) == ["PERF004"]
 
     def test_tests_are_out_of_scope(self):
         assert codes("import multiprocessing\n", TEST_PATH) == []

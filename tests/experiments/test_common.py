@@ -3,12 +3,8 @@
 import pytest
 
 from repro.baselines.none import NoQosMechanism
-from repro.experiments.common import (
-    ClassSpec,
-    build_system,
-    make_mechanism,
-    run_system,
-)
+from repro.experiments.common import ClassSpec, build_system, run_system
+from repro.mechanisms import make_mechanism
 from repro.sim.config import SystemConfig
 from repro.workloads.stream import StreamWorkload
 

@@ -1,7 +1,7 @@
 """Cold-start guards: what a process imports before its first cycle.
 
 Package ``__init__`` modules re-export lazily (``repro._lazy``), so a run
-imports only the modules it executes.  Two properties keep that true:
+imports only the modules it executes.  These properties keep that true:
 
 * every ``repro`` module imports cleanly when it is the *first* one a
   fresh interpreter loads — lazy packages no longer fix a global import
@@ -13,7 +13,9 @@ imports only the modules it executes.  Two properties keep that true:
 * chaser and SPEC-proxy runs, which draw ``integers`` and ``geometric``
   from :mod:`repro.sim.rng`, load no numpy either, and the ziggurat tables
   (:mod:`repro.sim._ziggurat`) load only once an inversion-path
-  ``geometric`` draw runs.
+  ``geometric`` draw runs;
+* hashing a :class:`~repro.runner.spec.RunSpec` (every cache lookup does
+  it) loads no simulator module.
 
 Each test runs in its own subprocess so the host interpreter's
 ``sys.modules`` cannot mask a missing import.
@@ -165,3 +167,18 @@ def test_ziggurat_tables_load_on_the_first_inversion_draw():
     )
     # p >= 1/3 is searched; only p = 0.25 runs inversion over the ziggurat
     assert out == {"steps": [False, False, False, True], "numpy": False}
+
+
+def test_spec_hash_loads_no_simulator_module():
+    out = run_fresh(
+        """
+        import json, sys
+
+        from repro.runner.spec import RunSpec
+
+        digest = RunSpec(figure="fig05", cell={"mixes": ("stream",)}).spec_hash()
+        print(json.dumps({"hash": digest, "loaded": sorted(sys.modules)}))
+        """
+    )
+    assert len(out["hash"]) == 16
+    assert [name for name in out["loaded"] if name.startswith("repro.sim")] == []

@@ -65,13 +65,3 @@ class TestRegistry:
             )
         finally:
             del MECHANISMS["custom-test-only"]
-
-
-class TestCommonReexport:
-    def test_experiments_common_delegates_to_the_zoo(self):
-        from repro.experiments import common
-
-        assert common.MECHANISMS is MECHANISMS
-        assert common.make_mechanism is make_mechanism
-        # the fig* modules' historical names still resolve
-        assert isinstance(common.make_mechanism("source-only"), QoSMechanism)

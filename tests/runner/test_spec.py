@@ -28,40 +28,6 @@ class TestSpecHash:
         b = RunSpec(figure="fig07", cell={"b": 2, "a": 1})
         assert a.spec_hash() == b.spec_hash()
 
-    def test_hash_changes_with_shard_count(self):
-        """A determinism bug in the shard runner must surface as a report
-        diff, never be papered over by a cache hit recorded under a
-        different shard count."""
-        hashes = {
-            RunSpec(figure="fig05", shards=shards).spec_hash()
-            for shards in (1, 2, 4)
-        }
-        assert len(hashes) == 3
-
-    def test_partition_scheme_pinned_in_canonical_json(self):
-        import json
-
-        from repro.sim.shard import ShardPlan
-
-        payload = json.loads(RunSpec(figure="fig05", shards=2).canonical_json())
-        assert payload["sharding"] == {
-            "shards": 2,
-            "partition": ShardPlan.SCHEME,
-        }
-
-    def test_sharded_payload_roundtrip(self):
-        spec = RunSpec(figure="fig05", shards=4)
-        again = RunSpec.from_payload(spec.to_payload())
-        assert again.shards == 4
-        assert again.spec_hash() == spec.spec_hash()
-
-    def test_payload_without_shards_defaults_to_single_process(self):
-        """Payloads written before the sharding field existed must load."""
-        spec = RunSpec(figure="fig05")
-        payload = spec.to_payload()
-        del payload["shards"]
-        assert RunSpec.from_payload(payload).spec_hash() == spec.spec_hash()
-
     def test_hash_changes_with_backend(self):
         """Backends are byte-identical by contract, but a determinism bug
         in the compiled core must surface as a report diff, never be
@@ -83,13 +49,6 @@ class TestSpecHash:
         again = RunSpec.from_payload(spec.to_payload())
         assert again.backend == "c"
         assert again.spec_hash() == spec.spec_hash()
-
-    def test_payload_without_backend_defaults_to_pure(self):
-        """Payloads written before the backend field existed ran pure."""
-        spec = RunSpec(figure="fig05")
-        payload = spec.to_payload()
-        del payload["backend"]
-        assert RunSpec.from_payload(payload).spec_hash() == spec.spec_hash()
 
     def test_warmup_group_key_is_backend_free(self):
         """Checkpoints are backend-neutral, so specs differing only in

@@ -304,58 +304,6 @@ class TestRngCrossProcessStability:
         assert self._draws("0") == str(expected)
 
 
-class TestShardSeedCrossProcessStability:
-    """Per-shard seeds ride the same sha256 scheme as named streams.
-
-    A sharded run gives each target shard's engine a seed derived by
-    :func:`repro.sim.shard.shard_seed`; like :meth:`Engine.rng` it must
-    never touch builtin ``hash``, so worker processes spawned with any
-    ``PYTHONHASHSEED`` derive identical seeds — and identical streams.
-    """
-
-    SNIPPET = (
-        "from repro.sim.engine import Engine;"
-        "from repro.sim.shard import shard_seed;"
-        "rng = Engine(seed=shard_seed(7, 2)).rng('core.0');"
-        "print([rng.integers(0, 1 << 30) for _ in range(8)])"
-    )
-
-    def _draws(self, hash_seed: str) -> str:
-        repo_src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
-        )
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = hash_seed
-        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SNIPPET],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        return proc.stdout.strip()
-
-    def test_shard_streams_identical_across_hash_seeds(self):
-        draws = {self._draws(seed) for seed in ("0", "1", "424242")}
-        assert len(draws) == 1, f"shard streams diverged: {draws}"
-
-    def test_subprocess_matches_in_process(self):
-        from repro.sim.shard import shard_seed
-
-        expected = list(
-            draws(Engine(seed=shard_seed(7, 2)).rng("core.0"), 8)
-        )
-        assert self._draws("0") == str(expected)
-
-    def test_shard_seed_diverges_from_root_stream(self):
-        from repro.sim.shard import shard_seed
-
-        root = draws(Engine(seed=7).rng("core.0"), 8)
-        shard = draws(Engine(seed=shard_seed(7, 1)).rng("core.0"), 8)
-        assert list(root) != list(shard)
-
-
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60))
 def test_property_events_dispatch_in_nondecreasing_time(delays):
     engine = Engine()

@@ -21,7 +21,7 @@ np = pytest.importorskip("numpy")
 
 ONE_THIRD = 1 / 3
 
-# entropy 0, small, wider than 64 bits, and shard-style ``(s << 8) | i``
+# entropy 0, small, wider than 64 bits, and packed ``(s << 8) | i``
 seeds = st.one_of(
     st.just(0),
     st.integers(1, 1 << 16),
