@@ -24,10 +24,8 @@ silently and correctly.  ``c`` builds on demand and raises
 cannot, so an explicit request is never silently downgraded.
 
 The selected backend applies to engines built *after* selection;
-existing systems keep the backend they were built with.  Checkpoints are
-backend-neutral: wheel state lives in plain Python structures on both
-backends, so a snapshot saved under one restores under the other (see
-DESIGN.md §11).
+existing systems keep the backend they were built with.  Wheel state
+lives in plain Python structures on both backends (see DESIGN.md §10).
 """
 
 from __future__ import annotations

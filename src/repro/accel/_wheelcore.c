@@ -6,22 +6,19 @@
  * backend classes subclass.  It is a *mirror*, not a redesign: every
  * loop below is a line-for-line port of the pure-Python reference, and
  * the determinism contract is byte-identical dispatch order — see
- * DESIGN.md §11 for the argument.
+ * DESIGN.md §10 for the argument.
  *
- * Marshal compatibility: all scheduler state lives in Python-visible
+ * Shared representation: all scheduler state lives in Python-visible
  * members (plain lists for the wheel/overflow, C long longs for the
  * counters, exposed as attributes with the exact names the pure class
  * uses).  The pure-Python scheduling entry points (schedule/post/...),
- * the sanitizer, the checkpoint pickler, and the inlined wheel inserts
- * in system.py/controller.py therefore operate on a WheelCore instance
- * unchanged, and wheel state moves losslessly between backends.
+ * the sanitizer, and the inlined wheel inserts in system.py/controller.py
+ * therefore operate on a WheelCore instance unchanged.
  *
  * Overflow-heap layout: the siftup/siftdown routines replicate CPython
  * heapq's algorithms exactly (element comparisons via PyObject_RichCompareBool
  * on the (when, seq, entry) tuples), so a heap built by any mix of C
- * and Python pushes has the identical array layout — which the
- * sanitizer's on_restore heap-order audit and cross-backend checkpoint
- * restores both rely on.
+ * and Python pushes has the identical array layout.
  *
  * Build: gcc -O2 -shared -fPIC (see repro.accel.build); no libraries
  * beyond Python.h.
@@ -1298,7 +1295,7 @@ mod_filter_ready(PyObject *module, PyObject *args)
 /* run the C twin instead of bouncing into the interpreter.  This is  */
 /* a *code* mirror, not a state mirror: handlers read and write the   */
 /* same canonical Python attributes the pure methods use, so there    */
-/* is no shadow state to sync and checkpoints stay backend-neutral.   */
+/* is no shadow state to sync between the two paths.                 */
 /* Every mutation, Python-level call (policy/sanitizer/tracer/        */
 /* closures), and raised error matches the pure transcription line    */
 /* for line; only attribute *read counts* differ, which no program    */

@@ -5,9 +5,9 @@ integer clock/counters as C ``long long`` fields and the wheel/overflow
 containers as ordinary Python lists — and exposes every field under the
 pure class's attribute names via member descriptors.  That makes the two
 backends *attribute-compatible*: the pure scheduling entry points
-(``schedule``/``post``/``post_chain_at``/...), the sanitizer's restore
-audit, and the inlined wheel inserts in ``system.py``/``controller.py``
-all run unchanged against either class.
+(``schedule``/``post``/``post_chain_at``/...), the sanitizer, and the
+inlined wheel inserts in ``system.py``/``controller.py`` all run
+unchanged against either class.
 
 Only the dispatch loops differ, so this module borrows the pure methods
 wholesale instead of re-implementing them: the scheduling surface *is*
@@ -50,10 +50,6 @@ def _build_wheel_class(core) -> type:
             self.dispatched = 0
             self.sanitizer = None
             self.tracer = None
-            # C member descriptors; zeroed by tp_new, re-zeroed here so
-            # a re-run __init__ (checkpoint restore) restarts the counts
-            self.fastpath_hits = 0
-            self.fastpath_misses = 0
 
         # Scheduling surface, properties, and coercion helpers: the pure
         # implementations verbatim, operating on C-backed attributes.

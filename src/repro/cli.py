@@ -6,11 +6,10 @@ Usage::
     python -m repro run fig05 [--quick] [--seed N] [--sanitize]
     python -m repro run-all [--quick]
     python -m repro sweep fig07 [--quick] [--workers N] [--no-cache]
-                          [--warm-start] [--backend {pure,c,auto}]
+                          [--backend {pure,c,auto}]
     python -m repro arena [--quick] [--mechanisms a,b] [--scenarios x,y]
                           [--workers N] [--output PATH]
                           [--backend {pure,c,auto}]
-    python -m repro checkpoint fig05 [--quick] [--seed N] | --stats | --clear
     python -m repro cache [--stats] [--clear]
     python -m repro trace fig05 [--quick] [--seed N] [--output PATH]
                           [--buffer N] [--metrics PATH] [--sanitize]
@@ -31,11 +30,10 @@ Usage::
 whole-program analysis pass (:mod:`repro.devtools.lint`,
 :mod:`repro.devtools.analysis`); all flags after ``lint`` are forwarded
 to the linter.
-``sweep --warm-start`` simulates each warm-up prefix once and forks the
-remaining cells from its checkpoint (:mod:`repro.runner.checkpoint`);
-``checkpoint`` pre-populates those snapshots, and ``cache`` reports or
-clears everything under ``.repro-cache/`` (plus any tolerated cache I/O
-warnings counted by :mod:`repro.obs.warnings`).  ``trace`` re-runs one
+``sweep`` and ``arena`` end with any warnings counted by
+:mod:`repro.obs.warnings` while they ran (a corrupt cache entry, a
+broken process pool); ``cache`` reports or clears the result cache
+under ``.repro-cache/``.  ``trace`` re-runs one
 experiment with the request tracer attached (:mod:`repro.obs.trace`) and
 writes Chrome trace-event JSON viewable in Perfetto or chrome://tracing.
 ``--backend`` selects the engine implementation (:mod:`repro.accel`):
@@ -132,12 +130,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_dir(cache_dir: str) -> str:
-    from pathlib import Path
-
-    return str(Path(cache_dir) / "checkpoints")
-
-
 def _resolve_backend(name: str) -> str | None:
     """Resolve ``--backend`` at the CLI boundary; None (+stderr) on failure.
 
@@ -176,9 +168,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache=cache,
         use_cache=not args.no_cache,
         progress=print,
-        warm_start_dir=(
-            _checkpoint_dir(args.cache_dir) if args.warm_start else None
-        ),
     )
     elapsed = time.perf_counter() - started
 
@@ -198,7 +187,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print()
     print(f"[{len(outcomes)} cell(s), {hits} cached, {failures} failed, "
           f"{elapsed:.1f}s, workers={args.workers}, backend={backend}]")
+    _print_warnings()
     return 1 if failures else 0
+
+
+def _print_warnings() -> None:
+    """Print the warning counters this process has bumped, if any."""
+    from repro.obs.warnings import warning_counts
+
+    warnings = warning_counts()
+    if warnings:
+        print("warnings:")
+        for name in sorted(warnings):
+            print(f"  {name}: {warnings[name]}")
 
 
 def _split_csv(value: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -283,6 +284,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
           f"{len(merged['scenarios'])} scenario(s), {hits} cached, "
           f"{failures} failed, {elapsed:.1f}s, workers={args.workers}, "
           f"backend={backend}]")
+    _print_warnings()
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(merged, handle, indent=2, sort_keys=True)
@@ -291,66 +293,16 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from repro.runner import specs_for_figure
-    from repro.runner.checkpoint import CheckpointStore
-    from repro.runner.worker import execute_spec
-
-    store = CheckpointStore(_checkpoint_dir(args.cache_dir))
-    if args.stats or args.clear:
-        if args.clear:
-            print(f"[removed {store.clear()} checkpoint(s)]")
-        if args.stats:
-            stats = store.stats()
-            print(f"{stats['directory']}: {stats['entries']} checkpoint(s), "
-                  f"{stats['bytes']:,} bytes (cap {stats['max_entries']})")
-        return 0
-    if args.experiment is None:
-        print("checkpoint needs an experiment name (or --stats/--clear)",
-              file=sys.stderr)
-        return 2
-    if args.experiment not in EXPERIMENTS:
-        known = ", ".join(EXPERIMENTS)
-        print(f"unknown experiment {args.experiment!r}; known: {known}",
-              file=sys.stderr)
-        return 2
-    specs = specs_for_figure(args.experiment, quick=args.quick, seed=args.seed)
-    leaders = {spec.warmup_group_key(): spec for spec in specs}
-    started = time.perf_counter()
-    failures = 0
-    for spec in leaders.values():
-        result = execute_spec(spec, warm_start_dir=str(store.directory))
-        if result.get("ok"):
-            print(f"ok   {spec.label()}")
-        else:
-            failures += 1
-            print(f"FAIL {spec.label()}: {result.get('error')}")
-    elapsed = time.perf_counter() - started
-    print(f"[{len(leaders)} warm-up prefix(es) for {len(specs)} cell(s), "
-          f"{len(store)} stored, {failures} failed, {elapsed:.1f}s]")
-    return 1 if failures else 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.obs.warnings import warning_counts
     from repro.runner import ResultCache
-    from repro.runner.checkpoint import CheckpointStore
 
     cache = ResultCache(args.cache_dir)
-    store = CheckpointStore(_checkpoint_dir(args.cache_dir))
     if args.clear:
-        print(f"[removed {cache.clear()} result(s), "
-              f"{store.clear()} checkpoint(s)]")
-    # default (and --stats): report both stores' footprints
-    for stats, kind in ((cache.stats(), "result(s)"),
-                        (store.stats(), "checkpoint(s)")):
-        print(f"{stats['directory']}: {stats['entries']} {kind}, "
-              f"{stats['bytes']:,} bytes (cap {stats['max_entries']})")
-    warnings = warning_counts()
-    if warnings:
-        print("warnings (tolerated I/O failures this process):")
-        for name in sorted(warnings):
-            print(f"  {name}: {warnings[name]}")
+        print(f"[removed {cache.clear()} result(s)]")
+    # default (and --stats): report the store's footprint
+    stats = cache.stats()
+    print(f"{stats['directory']}: {stats['entries']} result(s), "
+          f"{stats['bytes']:,} bytes (cap {stats['max_entries']})")
     return 0
 
 
@@ -418,7 +370,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         check_against_baseline,
         default_bench_path,
         run_bench,
-        run_warm_start_bench,
         write_bench,
     )
 
@@ -461,18 +412,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     print(f"{'':<8} vs pure FAILED: {compiled.get('error')}")
         else:
             print(f"{figure:<8} FAILED: {entry.get('error')}")
-
-    if not args.no_warm_start:
-        warm = run_warm_start_bench(
-            "fig05", quick=True, seed=args.seed, repeat=args.repeat
-        )
-        document["warm_start"] = warm
-        if warm.get("ok"):
-            print(f"warm-start fig05 sweep: cold {warm['cold_seconds']:.2f}s"
-                  f" -> warm {warm['warm_seconds']:.2f}s"
-                  f"  ({warm['speedup']:.2f}x, {warm['cells']} cells)")
-        else:
-            print(f"warm-start fig05 sweep FAILED: {warm.get('error')}")
 
     if args.check is not None:
         with open(args.check, "r", encoding="utf-8") as handle:
@@ -667,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore cached results (still refreshes them)")
     sweep.add_argument("--cache-dir", default=".repro-cache",
                        help="result cache directory (default: .repro-cache)")
-    sweep.add_argument("--warm-start", action="store_true",
-                       help="simulate each warm-up prefix once and fork the "
-                            "remaining cells from its checkpoint")
     _add_backend_argument(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -702,33 +638,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(arena_cmd)
     arena_cmd.set_defaults(func=_cmd_arena)
 
-    checkpoint = sub.add_parser(
-        "checkpoint",
-        help="pre-populate warm-up checkpoints for a figure's sweep grid",
-    )
-    checkpoint.add_argument("experiment", nargs="?", default=None,
-                            help="experiment name, e.g. fig05")
-    checkpoint.add_argument("--quick", action="store_true",
-                            help="reduced scale (seconds instead of minutes)")
-    checkpoint.add_argument("--seed", type=int, default=0)
-    checkpoint.add_argument("--cache-dir", default=".repro-cache",
-                            help="cache directory holding checkpoints/ "
-                                 "(default: .repro-cache)")
-    checkpoint.add_argument("--stats", action="store_true",
-                            help="report the checkpoint store's footprint")
-    checkpoint.add_argument("--clear", action="store_true",
-                            help="delete every stored checkpoint")
-    checkpoint.set_defaults(func=_cmd_checkpoint)
-
     cache = sub.add_parser(
-        "cache", help="report or clear the result + checkpoint caches"
+        "cache", help="report or clear the result cache"
     )
     cache.add_argument("--cache-dir", default=".repro-cache",
                        help="cache directory (default: .repro-cache)")
     cache.add_argument("--stats", action="store_true",
-                       help="report cache footprints (the default action)")
+                       help="report the cache footprint (the default action)")
     cache.add_argument("--clear", action="store_true",
-                       help="delete every cached result and checkpoint")
+                       help="delete every cached result")
     cache.set_defaults(func=_cmd_cache)
 
     trace = sub.add_parser(
@@ -772,8 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 3)")
     bench.add_argument("--update", action="store_true",
                        help="rewrite BENCH_baseline.json in place")
-    bench.add_argument("--no-warm-start", action="store_true",
-                       help="skip the cold-vs-warm-started sweep comparison")
     bench.add_argument("--no-history", action="store_true",
                        help="skip appending this run to BENCH_history.jsonl")
     _add_backend_argument(bench)

@@ -11,8 +11,8 @@ simulator honest, in two tiers:
 * The whole-program analyzer (:mod:`repro.devtools.analysis`) builds a
   project symbol table + call graph and checks properties no single
   file can show: cross-module determinism taint (DET1xx), hot-kernel
-  compiled-subset discipline (HOT), checkpoint pickle-safety (CKPT),
-  and observability provider integrity (OBS).
+  compiled-subset discipline (HOT), and observability provider
+  integrity (OBS).
 
 Supporting modules: :mod:`repro.devtools.formats` (text/JSON/SARIF
 output), :mod:`repro.devtools.baseline` (grandfathered-finding

@@ -2,7 +2,7 @@
 
 This package grows ``repro.devtools`` beyond per-file AST matching: it
 builds one shared symbol table + call graph over the package tree
-(:mod:`.symbols`, :mod:`.callgraph`) and runs four whole-program rule
+(:mod:`.symbols`, :mod:`.callgraph`) and runs three whole-program rule
 families against it:
 
 * **DET1xx** (:mod:`.taint`) — cross-module determinism taint: can a
@@ -10,8 +10,6 @@ families against it:
   derivation via any call path?
 * **HOT** (:mod:`.hotpath`) — compiled-subset discipline for the
   declared hot-kernel manifest (ROADMAP item 4 pre-flight).
-* **CKPT** (:mod:`.pickle_safety`) — static pickle-safety reachability
-  from the ``System`` field graph.
 * **OBS** (:mod:`.obs_rules`) — every registered observability provider
   names a statically-existing, data-like attribute.
 
@@ -32,7 +30,6 @@ from repro.devtools.analysis.cache import (
 from repro.devtools.analysis.callgraph import build_call_graph
 from repro.devtools.analysis.hotpath import HOT_KERNELS, analyze_hot_kernels
 from repro.devtools.analysis.obs_rules import analyze_obs_providers
-from repro.devtools.analysis.pickle_safety import analyze_pickle_safety
 from repro.devtools.analysis.symbols import ProjectIndex, build_index
 from repro.devtools.analysis.taint import analyze_taint
 from repro.devtools.lint import Diagnostic
@@ -87,16 +84,6 @@ WHOLE_PROGRAM_RULES: dict[str, tuple[str, str]] = {
         "NATIVE_KERNELS manifest and 'repro: native-kernel' markers disagree",
         "hot-path",
     ),
-    "CKPT001": (
-        "checkpoint-reachable field holds an OS resource "
-        "(file handle/lock/thread/socket/module/weakref)",
-        "checkpoint",
-    ),
-    "CKPT002": (
-        "checkpoint-reachable field bound to a lambda/nested def/generator "
-        "literal",
-        "checkpoint",
-    ),
     "OBS001": (
         "registered obs provider attribute does not statically exist on "
         "the provider class",
@@ -115,7 +102,6 @@ def analyze_index(index: ProjectIndex) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     diagnostics.extend(analyze_taint(index))
     diagnostics.extend(analyze_hot_kernels(index))
-    diagnostics.extend(analyze_pickle_safety(index))
     diagnostics.extend(analyze_obs_providers(index))
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.code))
     return diagnostics

@@ -7,9 +7,9 @@ source_fingerprint`): any source edit anywhere in the package
 invalidates the entry, and an unchanged tree hits the cache without
 re-parsing a single file.
 
-Entries are JSON, not pickle — PERF003 confines pickle to
-``runner/checkpoint.py``, and the devtools hold themselves to the rules
-they enforce.  Layout mirrors the runner caches: one
+Entries are JSON, not pickle — PERF003 bans pickle from the package,
+and the devtools hold themselves to the rules they enforce.  Layout
+mirrors the runner's result cache: one
 ``<fingerprint>.json`` per entry under ``.repro-cache/analysis/``.
 """
 

@@ -1,6 +1,6 @@
 """Project symbol table: modules, classes, functions, inferred field types.
 
-The whole-program passes (taint, HOT, CKPT, OBS) all consume one shared
+The whole-program passes (taint, HOT, OBS) all consume one shared
 :class:`ProjectIndex` built in a single parse of the package tree.  The
 index records, per module, the import alias table, every class with its
 *field graph* (attribute name -> inferred type reference), and every
@@ -12,10 +12,7 @@ Type references are plain strings so they stay cheap and serializable:
   (``repro.dram.controller.MemoryController``);
 * ``list[X]`` / ``dict[K, V]`` / ``tuple[X]`` / ``set[X]`` /
   ``deque[X]`` for containers, with element types inferred recursively;
-* lowercase tokens for builtins (``int``, ``str``) and for the hazard
-  categories the CKPT pass keys on (``lambda``, ``function``,
-  ``generator``, ``filehandle``, ``lock``, ``thread``, ``socket``,
-  ``module``, ``weakref``);
+* lowercase tokens for builtins (``int``, ``str``);
 * ``?`` when inference gives up — consumers must treat ``?`` as "skip",
   never as "violation", so inference gaps cannot produce false alarms.
 
@@ -41,10 +38,6 @@ __all__ = [
     "build_index",
 ]
 
-#: Hazard tokens for expressions that cannot round-trip through pickle.
-RESOURCE_TYPES = {"filehandle", "lock", "thread", "socket", "module", "weakref"}
-CALLABLE_LITERALS = {"lambda", "function", "generator"}
-
 _CONTAINER_CALLS = {
     "list": "list",
     "dict": "dict",
@@ -54,24 +47,6 @@ _CONTAINER_CALLS = {
     "deque": "deque",
     "defaultdict": "dict",
     "OrderedDict": "dict",
-}
-
-_RESOURCE_CALLS = {
-    ("builtins", "open"): "filehandle",
-    ("io", "open"): "filehandle",
-    ("threading", "Lock"): "lock",
-    ("threading", "RLock"): "lock",
-    ("threading", "Condition"): "lock",
-    ("threading", "Semaphore"): "lock",
-    ("threading", "BoundedSemaphore"): "lock",
-    ("threading", "Event"): "lock",
-    ("threading", "Thread"): "thread",
-    ("multiprocessing", "Lock"): "lock",
-    ("multiprocessing", "Process"): "thread",
-    ("socket", "socket"): "socket",
-    ("weakref", "ref"): "weakref",
-    ("weakref", "WeakValueDictionary"): "weakref",
-    ("weakref", "WeakKeyDictionary"): "weakref",
 }
 
 
@@ -384,8 +359,6 @@ class _ModuleBuilder:
             return "?"
         name = chain[-1]
         if len(chain) == 1:
-            if name == "open":
-                return "filehandle"
             if name in _CONTAINER_CALLS:
                 head = _CONTAINER_CALLS[name]
                 if node.args:
@@ -396,17 +369,9 @@ class _ModuleBuilder:
             resolved = self.index.resolve_name(self.module, name)
             if resolved in self.index.classes:
                 return resolved
-            if resolved is not None:
-                root = resolved.split(".")[0]
-                mapped = _RESOURCE_CALLS.get((root, name))
-                if mapped is not None:
-                    return mapped
             return "?"
         root = chain[0]
         root_target = self.module.imports.get(root, root)
-        mapped = _RESOURCE_CALLS.get((root_target.split(".")[0], name))
-        if mapped is not None:
-            return mapped
         if name in _CONTAINER_CALLS and len(chain) == 2:
             return f"{_CONTAINER_CALLS[name]}[?]"
         # module-attribute constructor: ``pkgmod.Class(...)``
@@ -421,10 +386,6 @@ class _ModuleBuilder:
         ``env`` maps local names (including ``self.<attr>`` pseudo-names)
         to type references.
         """
-        if isinstance(node, ast.Lambda):
-            return "lambda"
-        if isinstance(node, ast.GeneratorExp):
-            return "generator"
         if isinstance(node, ast.ListComp):
             return f"list[{self.infer_expr_type(node.elt, env)}]"
         if isinstance(node, ast.SetComp):

@@ -45,11 +45,12 @@ PERF002   ``heapq`` may only be imported by ``sim/engine.py``.  The
           engine's ``(when, seq)`` guarantee or reintroduces per-event
           heap traffic the wheel exists to avoid.
 PERF003   serialization modules (``pickle``, ``marshal``, ``shelve``,
-          ``dill``) may only be imported by ``runner/checkpoint.py``.
-          Simulator-state serialization is a versioned, validated
-          checkpoint format; an ad-hoc pickle elsewhere either bypasses
-          the restore validation/versioning or drags serialization
-          overhead into simulation code.
+          ``dill``) are banned from the package.  Everything the
+          package persists (result cache, analysis cache, bench and
+          arena documents) is JSON: a pickle on disk is neither
+          diffable nor safe to load, and pickling simulator state drags
+          serialization overhead and restore hazards into simulation
+          code.
 PERF004   process-parallelism modules (``multiprocessing``,
           ``concurrent.futures``) may only be imported under
           ``runner/`` (the sweep pool).  Worker processes are an
@@ -67,8 +68,8 @@ PERF005   native-code loading modules (``ctypes``, ``cffi``,
 Beyond the per-file rules above, ``main`` also runs the whole-program
 pass (:mod:`repro.devtools.analysis`) whenever a lint path contains the
 ``repro`` package: determinism taint (DET1xx), hot-kernel discipline
-(HOT), checkpoint pickle-safety (CKPT), and observability providers
-(OBS).  ``--list-rules`` shows both registries.
+(HOT), and observability providers (OBS).  ``--list-rules`` shows both
+registries.
 
 Usage::
 
@@ -546,30 +547,24 @@ class HeapqOnlyInEngine(Rule):
 
 
 @register
-class SerializationOnlyInCheckpoint(Rule):
+class NoSerializationImports(Rule):
     code = "PERF003"
-    summary = "serialization imports are confined to runner/checkpoint.py"
-
-    #: The one module allowed to serialize simulator state: checkpoints
-    #: carry a version field and pass restore validation there.
-    _ALLOWED = ("runner", "checkpoint.py")
+    summary = "no pickle/marshal/shelve/dill imports in the package"
 
     #: Serialization modules covered by the rule.  json is exempt — it
-    #: cannot encode object graphs, so it poses no checkpoint hazard.
+    #: cannot encode object graphs, and it is what the package persists.
     _BANNED = ("pickle", "cPickle", "marshal", "shelve", "dill")
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        return parts is not None and parts != cls._ALLOWED
+        return ctx.in_repro_package
 
     def _flag(self, node: ast.AST, module: str) -> None:
         self.report(
             node,
-            f"{module} import outside runner/checkpoint.py; simulator "
-            "state serialization is a versioned checkpoint format with "
-            "restore validation — route snapshots through "
-            "repro.runner.checkpoint instead of ad-hoc pickling",
+            f"{module} import in the repro package; persist plain data "
+            "as JSON (as the result and analysis caches do) instead of "
+            "pickling objects",
         )
 
     def _match(self, name: str) -> str | None:
@@ -883,7 +878,6 @@ _FAMILIES = {
     "SIM": "simulation",
     "PERF": "performance",
     "HOT": "hot-path",
-    "CKPT": "checkpoint",
     "OBS": "observability",
 }
 
@@ -1037,7 +1031,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--no-whole-program", action="store_true",
-        help="skip the whole-program analysis pass (DET1xx/HOT/CKPT/OBS)",
+        help="skip the whole-program analysis pass (DET1xx/HOT/OBS)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -89,8 +89,7 @@ class MemoryController:
         )
         # Compiled ready-scan kernels (repro.accel's extension module) or
         # None under the pure backend.  Bound once per controller: the
-        # backend selection applies at system build time, and the binding
-        # is process-local (dropped on pickle, re-resolved on restore).
+        # backend selection applies at system build time.
         self._ckern = accel.controller_kernels()
         # front-end queue capacities, flattened for the accept hot path
         self._read_capacity = config.frontend_read_queue
@@ -529,21 +528,6 @@ class MemoryController:
                 engine._live += 1
             else:
                 engine.post_at(when, self._run_pass, token)
-
-    # ------------------------------------------------------------------
-    # pickling (checkpoints)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # The compiled-kernel binding is an extension module — process
-        # local and backend-specific.  Checkpoints stay backend-neutral:
-        # drop it here, re-resolve under the restoring process's backend.
-        state["_ckern"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ckern = accel.controller_kernels()
 
     def _notify_space(self) -> None:
         # Synchronous hint: listeners only set a flag and arm a late-phase

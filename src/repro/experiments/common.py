@@ -22,7 +22,6 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RequestTracer
-    from repro.runner.checkpoint import Checkpoint, CheckpointStore
 
 __all__ = [
     "ClassSpec",
@@ -32,7 +31,6 @@ __all__ = [
     "run_system",
     "sanitized",
     "traced",
-    "warm_start",
 ]
 
 # Default for build_system(sanitize=None).  The ``repro run --sanitize``
@@ -78,34 +76,8 @@ def config_overrides(**overrides: object) -> Iterator[None]:
         _default_overrides = previous
 
 
-# Checkpoint store consulted by run_system() for every run inside a
-# :func:`warm_start` block.  Third instance of the ambient-default
-# pattern (`sanitized`, `config_overrides`): the sweep runner turns on
-# warm-starting for whole fig* runs without changing their signatures.
-_default_checkpoint_store: "CheckpointStore | None" = None
-
-
-@contextmanager
-def warm_start(store: "CheckpointStore") -> Iterator[None]:
-    """Warm-start runs inside the block from ``store``'s checkpoints.
-
-    Every :func:`run_system` call inside the block checkpoints its
-    warm-up/measurement boundary into ``store`` (first run of a prefix)
-    or forks from the stored snapshot instead of re-simulating the
-    warm-up (every later run sharing that prefix).  Forked runs are
-    byte-identical to cold ones — see DESIGN.md §8.
-    """
-    global _default_checkpoint_store
-    previous = _default_checkpoint_store
-    _default_checkpoint_store = store
-    try:
-        yield
-    finally:
-        _default_checkpoint_store = previous
-
-
 # Request tracer and epoch metric sinks attached to every system built
-# inside a :func:`traced` block.  Fourth instance of the ambient-default
+# inside a :func:`traced` block.  Third instance of the ambient-default
 # pattern: `repro trace fig05` wires observability into a whole figure
 # run without the fig* modules knowing the tracer exists.
 _default_tracer: "RequestTracer | None" = None
@@ -225,41 +197,12 @@ class RunResult:
         return total / cycles / self.system.config.peak_bandwidth
 
 
-def run_system(
-    system: System,
-    epochs: int,
-    warmup_epochs: int,
-    *,
-    checkpoint_after_warmup: "CheckpointStore | None" = None,
-    resume_from: "Checkpoint | None" = None,
-) -> RunResult:
-    """Run for ``epochs`` QoS epochs and summarize the steady window.
-
-    ``system`` must be freshly built (no cycles run yet).  Three ways to
-    cover the warm-up window, all producing byte-identical results:
-
-    * plain (default): simulate all ``epochs`` in one go;
-    * ``resume_from=checkpoint``: fork the measurement phase from an
-      explicit warm-up snapshot instead of simulating the warm-up —
-      the checkpoint's prefix must match this run (validated);
-    * ``checkpoint_after_warmup=store`` (or an ambient
-      :func:`warm_start` block): consult the store for this run's
-      warm-up prefix — fork on a hit, otherwise simulate the warm-up,
-      snapshot it into the store, and continue.
-    """
+def run_system(system: System, epochs: int, warmup_epochs: int) -> RunResult:
+    """Run for ``epochs`` QoS epochs and summarize the steady window."""
     if warmup_epochs >= epochs:
         raise ValueError("need more epochs than warm-up")
-    store = checkpoint_after_warmup
-    if store is None:
-        store = _default_checkpoint_store
-    if resume_from is not None or (store is not None and warmup_epochs > 0):
-        system = _run_warm_started(
-            system, epochs, warmup_epochs, store, resume_from
-        )
-        system.finalize()
-    else:
-        system.run_epochs(epochs)
-        system.finalize()
+    system.run_epochs(epochs)
+    system.finalize()
     timeline = BandwidthTimeline(
         system.stats.epochs, system.config.peak_bandwidth
     )
@@ -269,48 +212,3 @@ def run_system(
         warmup_epochs=warmup_epochs,
         steady_bytes=timeline.steady_bytes(warmup_epochs),
     )
-
-
-def _run_warm_started(
-    system: System,
-    epochs: int,
-    warmup_epochs: int,
-    store: "CheckpointStore | None",
-    resume_from: "Checkpoint | None",
-) -> System:
-    """Cover ``epochs`` via checkpointing; returns the system that ran.
-
-    On a fork the caller's ``system`` object is abandoned unrun and the
-    restored clone takes its place — restores never mutate the snapshot,
-    so one stored warm-up serves any number of forks.
-    """
-    from repro.runner.checkpoint import (
-        restore_system,
-        snapshot_system,
-        warmup_prefix_hash,
-    )
-    from repro.sim.engine import SimulationError
-
-    if system._epochs_started:
-        raise SimulationError(
-            "warm-started run_system needs a freshly built system; this "
-            "one has already simulated cycles"
-        )
-    prefix_hash = warmup_prefix_hash(system, warmup_epochs)
-    checkpoint = resume_from
-    if checkpoint is not None:
-        if checkpoint.prefix_hash != prefix_hash:
-            raise SimulationError(
-                f"resume_from checkpoint prefix {checkpoint.prefix_hash} "
-                f"does not match this run's warm-up prefix {prefix_hash}"
-            )
-    elif store is not None:
-        checkpoint = store.load(prefix_hash)
-    if checkpoint is not None:
-        system = restore_system(checkpoint)
-    else:
-        system.run_epochs(warmup_epochs)
-        if store is not None:
-            store.save(snapshot_system(system, warmup_epochs, prefix_hash))
-    system.run_epochs(epochs - warmup_epochs)
-    return system

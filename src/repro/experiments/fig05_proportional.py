@@ -15,15 +15,10 @@ from repro.core.pabst import PabstMechanism
 from repro.experiments.common import ClassSpec, build_system, run_system
 from repro.workloads.stream import StreamWorkload
 
-__all__ = ["Fig05Result", "MEASURE_KEYS", "run", "sweep_cells"]
+__all__ = ["Fig05Result", "run", "sweep_cells"]
 
 HI_WEIGHT = 7
 LO_WEIGHT = 3
-
-#: Cell keys that only affect the measurement phase: cells differing
-#: only in these share a warm-up prefix, so `repro sweep --warm-start`
-#: simulates the warm-up once and forks the cells from the checkpoint.
-MEASURE_KEYS = ("measure_epochs",)
 
 
 @dataclass
@@ -96,9 +91,8 @@ def run(
 def sweep_cells(quick: bool = False) -> list[dict]:
     """Measurement-window sweep: convergence of the steady shares.
 
-    Every cell shares the same warm-up prefix (same classes, seed, and
-    warm-up length), differing only in how long the measured window
-    runs — the showcase for checkpointed warm-starting.
+    Every cell runs the same classes, seed and warm-up length, differing
+    only in how long the measured window runs.
     """
     lengths = range(10, 55, 5) if quick else range(30, 120, 10)
     return [{"measure_epochs": length} for length in lengths]

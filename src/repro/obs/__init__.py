@@ -1,7 +1,7 @@
 """Observability layer: counter registry, request tracer, metric streams.
 
 Three cooperating pieces, all opt-in and all near-zero cost when unused
-(DESIGN.md §9 states the overhead contract):
+(DESIGN.md §8 states the overhead contract):
 
 * :mod:`repro.obs.registry` — named monotonic counters and gauges that
   components register on the :class:`~repro.sim.system.System`'s
@@ -16,9 +16,10 @@ Three cooperating pieces, all opt-in and all near-zero cost when unused
   :meth:`repro.sim.stats.Stats.close_epoch` publishes per-class
   bandwidth/saturation/multiplier samples to (JSONL file, in-memory).
 
-:mod:`repro.obs.warnings` additionally collects the runner's swallowed
-I/O errors (cache/checkpoint store corruption) into process-global
-counters surfaced by ``repro cache --stats``.
+:mod:`repro.obs.warnings` additionally counts the runner's tolerated
+failures (a corrupt or unwritable cache entry, a broken process pool)
+in process-global counters that ``repro sweep`` and ``repro arena``
+print after their summary line.
 
 Re-exports resolve on first access (:mod:`repro._lazy`).
 """

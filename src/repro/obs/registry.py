@@ -3,14 +3,13 @@
 Components do not push samples into the registry; they register a
 *provider* — an ``(object, attribute)`` pair — once at build time, and
 the registry reads the attribute when someone asks for a snapshot.
-This keeps the contract in DESIGN.md §9: the simulation hot paths are
+This keeps the contract in DESIGN.md §8: the simulation hot paths are
 byte-identical whether or not anyone ever samples, because the counters
 are the plain instance attributes the components maintain anyway.
 
-Providers are deliberately *not* callables: the registry is part of the
-pickled :class:`~repro.sim.system.System` graph (checkpoints snapshot
-and restore it, so warm-started runs resume their counter streams
-seamlessly), and ``(obj, attr)`` pairs pickle where lambdas cannot.
+Providers are deliberately *not* callables: an ``(obj, attr)`` pair
+names exactly the attribute a snapshot reads, it cannot capture hidden
+state the way a closure can, and it pickles where a lambda cannot.
 
 For code that has no natural attribute home (the runner's warning
 counters), :meth:`Registry.counter` mints an owned :class:`ObsCounter`;

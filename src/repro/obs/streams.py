@@ -11,10 +11,8 @@ Two sinks ship here:
 * :class:`MemorySink` — keeps the records in a list; the test/inspect
   sink.
 * :class:`JsonlSink` — appends one JSON object per line to a file.
-  The file handle opens lazily on first publish and is dropped on
-  pickling, so a checkpointed :class:`~repro.sim.system.System` whose
-  stats carry a JSONL sink restores cleanly and keeps appending to the
-  same path — warm-started runs produce one seamless stream.
+  The file handle opens lazily on first publish, so a sink that never
+  sees an epoch never creates its file.
 
 Records use ``None`` (JSON ``null``) where the simulator uses the
 ``-1`` sentinel for "no governor multiplier", so downstream tooling
@@ -78,12 +76,7 @@ class MemorySink:
 
 
 class JsonlSink:
-    """Appends one JSON line per epoch record to ``path``.
-
-    Safe to pickle mid-stream: ``__getstate__`` drops the open handle
-    and the next publish after restore reopens the same path in append
-    mode, continuing the stream where the checkpoint left it.
-    """
+    """Appends one JSON line per epoch record to ``path``."""
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
@@ -102,11 +95,6 @@ class JsonlSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_handle"] = None
-        return state
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -1,12 +1,13 @@
 """Process-global warning counters for swallowed-but-notable errors.
 
-The runner's cache and checkpoint stores tolerate filesystem failures
-(a read-only store, a concurrently-evicted entry) by design — a cache
-must not take the simulation down.  But a *silent* ``except OSError:
-pass`` hides store corruption until someone wonders why nothing ever
-hits.  Those sites now call :func:`obs_warn`, which both logs through
-the ``repro.obs`` logger and bumps a named counter that ``repro cache
---stats`` reports.
+The runner tolerates some failures by design: a read-only or corrupt
+result cache, a concurrently-evicted entry, a process pool that broke
+mid-sweep.  A cache must not take the simulation down.  But a *silent*
+``except OSError: pass`` hides store corruption until someone wonders
+why nothing ever hits.  Those sites call :func:`obs_warn`, which both
+logs through the ``repro.obs`` logger and bumps a named counter.
+``repro sweep`` and ``repro arena`` print the nonzero counters after
+their summary line, in the process that raised them.
 
 The counters are process-global (not per-``System``) because the
 failures they count happen in the runner layer, outside any simulated

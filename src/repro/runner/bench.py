@@ -38,7 +38,6 @@ __all__ = [
     "git_revision",
     "run_bench",
     "run_profile",
-    "run_warm_start_bench",
     "write_bench",
 ]
 
@@ -195,78 +194,6 @@ def _bench_vs_pure(
     return entry
 
 
-def run_warm_start_bench(
-    figure: str = "fig05", quick: bool = True, seed: int = 0, repeat: int = 3
-) -> dict[str, Any]:
-    """Cold vs warm-started sweep wall-clock over one figure's grid.
-
-    Times the figure's full sweep twice — cold (every cell simulates its
-    own warm-up) and warm-started (cells fork from a shared checkpoint;
-    the store is populated outside the timed window).  Sequential
-    workers keep the comparison about simulation work, not pool
-    scheduling.  Reports the median of ``repeat`` runs each way and the
-    resulting speedup; warm reports are cross-checked byte-identical to
-    cold ones, so a determinism break fails the bench instead of
-    flattering it.
-    """
-    import tempfile
-
-    from repro.runner.pool import run_specs
-    from repro.runner.spec import specs_for_figure
-
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    specs = specs_for_figure(figure, quick=quick, seed=seed)
-    entry: dict[str, Any] = {
-        "figure": figure,
-        "quick": quick,
-        "cells": len(specs),
-        "repeats": repeat,
-    }
-
-    def timed_sweep(warm_start_dir: str | None) -> tuple[float, list[str] | None]:
-        start = time.perf_counter()
-        outcomes = run_specs(specs, workers=1, warm_start_dir=warm_start_dir)
-        wall = time.perf_counter() - start
-        if not all(outcome.ok for outcome in outcomes):
-            return wall, None
-        return wall, [outcome.result["report"] for outcome in outcomes]
-
-    with tempfile.TemporaryDirectory(prefix="repro-warm-bench-") as tmp:
-        cold_walls: list[float] = []
-        cold_reports: list[str] | None = None
-        for _ in range(repeat):
-            wall, reports = timed_sweep(None)
-            if reports is None:
-                entry.update(ok=False, error="cold sweep cell failed")
-                return entry
-            cold_walls.append(wall)
-            cold_reports = reports
-        timed_sweep(tmp)  # populate the checkpoint store, untimed
-        warm_walls: list[float] = []
-        for _ in range(repeat):
-            wall, reports = timed_sweep(tmp)
-            if reports is None:
-                entry.update(ok=False, error="warm-started sweep cell failed")
-                return entry
-            if reports != cold_reports:
-                entry.update(
-                    ok=False, error="warm-started reports diverged from cold"
-                )
-                return entry
-            warm_walls.append(wall)
-
-    cold = statistics.median(cold_walls)
-    warm = statistics.median(warm_walls)
-    entry.update(
-        ok=True,
-        cold_seconds=round(cold, 4),
-        warm_seconds=round(warm, 4),
-        speedup=round(cold / warm, 3) if warm > 0 else 0.0,
-    )
-    return entry
-
-
 def run_profile(
     figure: str, quick: bool = True, seed: int = 0, top: int = 25,
     backend: str = "pure",
@@ -378,17 +305,6 @@ def append_history(
         "python_version": document.get("python_version"),
         "figures": figures,
     }
-    warm = document.get("warm_start")
-    if warm is not None:
-        if warm.get("ok"):
-            line["warm_start"] = {
-                "figure": warm.get("figure"),
-                "cold_seconds": warm.get("cold_seconds"),
-                "warm_seconds": warm.get("warm_seconds"),
-                "speedup": warm.get("speedup"),
-            }
-        else:
-            line["warm_start"] = {"error": warm.get("error")}
     path = Path(path)
     with path.open("a", encoding="utf-8") as handle:
         json.dump(line, handle, sort_keys=True, separators=(",", ":"))

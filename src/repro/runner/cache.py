@@ -9,6 +9,8 @@ the least-recently-used entries beyond ``max_entries`` (hits refresh
 recency via mtime), so the cache stays bounded across source changes
 instead of growing a dead file per edited line of simulator code.
 ``repro cache --stats/--clear`` exposes the same accounting on the CLI.
+Tolerated failures (an unreadable recency stamp, a failed eviction, a
+corrupt entry) are counted through :mod:`repro.obs.warnings`.
 """
 
 from __future__ import annotations
@@ -46,19 +48,37 @@ class ResultCache:
         return self.directory / f"{spec_hash}-{fingerprint}.json"
 
     def load(self, spec_hash: str, fingerprint: str) -> dict[str, Any] | None:
-        """The cached result payload, or None on miss/corruption."""
+        """The cached result payload, or None on miss/corruption.
+
+        A missing file is an ordinary miss.  An entry that exists but
+        does not parse, or parses to the wrong shape, is also a miss,
+        counted as ``cache.corrupt_entry``.
+        """
         path = self._path(spec_hash, fingerprint)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except OSError:
             return None
-        if entry.get("spec_hash") != spec_hash:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            obs_warn(
+                "cache.corrupt_entry",
+                "result cache entry %s is not valid JSON: %s",
+                path,
+                exc,
+            )
             return None
-        if entry.get("fingerprint") != fingerprint:
-            return None
-        result = entry.get("result")
-        if not isinstance(result, dict):
+        result = entry.get("result") if isinstance(entry, dict) else None
+        if (
+            not isinstance(result, dict)
+            or entry.get("spec_hash") != spec_hash
+            or entry.get("fingerprint") != fingerprint
+        ):
+            obs_warn(
+                "cache.corrupt_entry",
+                "result cache entry %s has the wrong shape",
+                path,
+            )
             return None
         try:
             os.utime(path)  # refresh LRU recency

@@ -4,7 +4,8 @@
 fans the misses out over a ``ProcessPoolExecutor`` (or runs them inline
 for ``workers <= 1``), enforces a per-spec timeout, and stores fresh
 successes back into the cache.  A worker crash or a broken pool degrades
-to sequential in-process execution rather than failing the sweep.
+to sequential in-process execution rather than failing the sweep, and
+counts a ``pool.broken`` warning.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.obs.warnings import obs_warn
 from repro.runner.cache import ResultCache
 from repro.runner.fingerprint import source_fingerprint
 from repro.runner.spec import RunSpec
@@ -43,23 +45,15 @@ def _failure(kind: str, detail: str) -> dict:
     return {"ok": False, "error": f"{kind}: {detail}"}
 
 
-def _payload(spec: RunSpec, warm_start_dir: str | None) -> dict:
-    payload = spec.to_payload()
-    if warm_start_dir is not None:
-        payload["warm_start_dir"] = warm_start_dir
-    return payload
-
-
 def _run_sequential(
     specs: Sequence[RunSpec],
     progress: Callable[[str], None] | None,
-    warm_start_dir: str | None = None,
 ) -> list[dict]:
     results = []
     for spec in specs:
         if progress is not None:
             progress(f"run  {spec.label()}")
-        results.append(execute_payload(_payload(spec, warm_start_dir)))
+        results.append(execute_payload(spec.to_payload()))
     return results
 
 
@@ -68,14 +62,12 @@ def _run_pool(
     workers: int,
     timeout: float | None,
     progress: Callable[[str], None] | None,
-    warm_start_dir: str | None = None,
 ) -> list[dict]:
     results: list[dict | None] = [None] * len(specs)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(execute_payload, _payload(spec, warm_start_dir))
-                for spec in specs
+                pool.submit(execute_payload, spec.to_payload()) for spec in specs
             ]
             for index, (spec, future) in enumerate(zip(specs, futures)):
                 try:
@@ -95,69 +87,16 @@ def _run_pool(
     except process.BrokenProcessPool:
         # Pool is unusable (a worker was killed, fork failed, ...): finish
         # the unresolved specs sequentially in this process.
+        obs_warn(
+            "pool.broken",
+            "process pool broke; finishing %d spec(s) sequentially",
+            sum(result is None for result in results),
+        )
         if progress is not None:
             progress("process pool broke; falling back to sequential execution")
         for index, spec in enumerate(specs):
             if results[index] is None:
-                results[index] = execute_payload(_payload(spec, warm_start_dir))
-    return [
-        result if result is not None else _failure("internal", "no result")
-        for result in results
-    ]
-
-
-def _run_batch(
-    specs: Sequence[RunSpec],
-    workers: int,
-    timeout: float | None,
-    progress: Callable[[str], None] | None,
-    warm_start_dir: str | None,
-) -> list[dict]:
-    if workers > 1 and len(specs) > 1:
-        return _run_pool(specs, workers, timeout, progress, warm_start_dir)
-    return _run_sequential(specs, progress, warm_start_dir)
-
-
-def _run_warm_batched(
-    misses: Sequence[tuple[int, RunSpec]],
-    workers: int,
-    timeout: float | None,
-    progress: Callable[[str], None] | None,
-    warm_start_dir: str,
-) -> list[dict]:
-    """Run misses in two waves so warm-up prefixes are simulated once.
-
-    The first spec of each warm-up group (the *leader*) runs in wave
-    one, simulating its warm-up prefix and writing the checkpoint; the
-    remaining specs (*followers*) run in wave two and fork from the
-    now-populated store.  Without the barrier between waves, followers
-    racing their leader would each cold-simulate the same prefix and
-    the sweep would pay warm-up N times after all.
-    """
-    leaders: list[tuple[int, RunSpec]] = []
-    followers: list[tuple[int, RunSpec]] = []
-    seen_groups: set[str] = set()
-    for position, (index, spec) in enumerate(misses):
-        group = spec.warmup_group_key()
-        if group in seen_groups:
-            followers.append((position, spec))
-        else:
-            seen_groups.add(group)
-            leaders.append((position, spec))
-    if progress is not None and followers:
-        progress(
-            f"warm-start: {len(leaders)} warm-up prefix(es) for "
-            f"{len(misses)} cells"
-        )
-    results: list[dict | None] = [None] * len(misses)
-    for wave in (leaders, followers):
-        if not wave:
-            continue
-        wave_results = _run_batch(
-            [spec for _, spec in wave], workers, timeout, progress, warm_start_dir
-        )
-        for (position, _), result in zip(wave, wave_results):
-            results[position] = result
+                results[index] = execute_payload(spec.to_payload())
     return [
         result if result is not None else _failure("internal", "no result")
         for result in results
@@ -171,17 +110,11 @@ def run_specs(
     cache: ResultCache | None = None,
     use_cache: bool = True,
     progress: Callable[[str], None] | None = None,
-    warm_start_dir: str | None = None,
 ) -> list[SweepOutcome]:
     """Run every spec, reusing cached results where possible.
 
     Returns outcomes in spec order.  Only successful runs are cached;
     failures (including timeouts) are returned but never persisted.
-
-    With ``warm_start_dir``, cache misses run through the checkpoint
-    store in that directory: one leader per warm-up group simulates and
-    snapshots its warm-up prefix, then the group's remaining cells fork
-    from the snapshot (see :meth:`RunSpec.warmup_group_key`).
     """
     fingerprint = source_fingerprint()
     outcomes: dict[int, SweepOutcome] = {}
@@ -202,14 +135,10 @@ def run_specs(
 
     miss_specs = [spec for _, spec in misses]
     if miss_specs:
-        if warm_start_dir is not None and len(miss_specs) > 1:
-            results = _run_warm_batched(
-                misses, workers, timeout, progress, warm_start_dir
-            )
+        if workers > 1 and len(miss_specs) > 1:
+            results = _run_pool(miss_specs, workers, timeout, progress)
         else:
-            results = _run_batch(
-                miss_specs, workers, timeout, progress, warm_start_dir
-            )
+            results = _run_sequential(miss_specs, progress)
         for (index, spec), result in zip(misses, results):
             outcomes[index] = SweepOutcome(spec=spec, result=result, cached=False)
             if cache is not None and result.get("ok"):

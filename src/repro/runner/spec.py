@@ -82,39 +82,6 @@ class RunSpec:
             parts.append(str(value))
         return f"{self.figure}[{','.join(parts)}]"
 
-    def warmup_group_key(self) -> str:
-        """Content hash of everything but measurement-phase cell keys.
-
-        Figure modules declare measurement-only knobs in a module-level
-        ``MEASURE_KEYS`` tuple; two specs whose hashes agree here share
-        a warm-up prefix, so a warm-started sweep simulates the warm-up
-        for one of them and forks the rest from its checkpoint.  Specs
-        for figures with no ``MEASURE_KEYS`` hash their full cell and
-        therefore form singleton groups (warm-starting still dedupes
-        repeated invocations of the same cell across sweeps).
-        """
-        from repro.runner.worker import figure_module
-
-        measure_keys = getattr(figure_module(self.figure), "MEASURE_KEYS", ())
-        prefix_cell = {
-            key: value
-            for key, value in self.cell.items()
-            if key not in measure_keys
-        }
-        # Deliberately backend-free: checkpoints are backend-neutral —
-        # wheel state marshals losslessly between the pure and compiled
-        # engines — so specs differing only in backend share one warm-up
-        # prefix.
-        payload = {
-            "figure": self.figure,
-            "cell": _canonical(prefix_cell),
-            "seed": self.seed,
-            "quick": self.quick,
-            "overrides": _canonical(self.overrides),
-        }
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
-
     def to_payload(self) -> dict:
         """Plain-dict form that crosses the process-pool boundary."""
         payload = asdict(self)

@@ -44,17 +44,12 @@ def _run_kwargs(cell: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Run one spec (as a plain-dict payload) and return a result dict.
-
-    A ``warm_start_dir`` key in the payload (set by the pool's
-    warm-start batching, not part of the spec's content hash) routes
-    the run through that directory's checkpoint store.
-    """
+    """Run one spec (as a plain-dict payload) and return a result dict."""
     from repro.runner.spec import RunSpec
 
     spec = RunSpec.from_payload(payload)
     try:
-        return execute_spec(spec, warm_start_dir=payload.get("warm_start_dir"))
+        return execute_spec(spec)
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return {
             "ok": False,
@@ -63,31 +58,23 @@ def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
         }
 
 
-def execute_spec(spec: RunSpec, warm_start_dir: str | None = None) -> dict[str, Any]:
+def execute_spec(spec: RunSpec) -> dict[str, Any]:
     """Run one :class:`RunSpec` in-process and time it."""
-    from contextlib import nullcontext
-
     from repro import accel
-    from repro.experiments.common import config_overrides, warm_start
+    from repro.experiments.common import config_overrides
     from repro.sim.engine import dispatched_total
 
-    # Backend selection wraps the whole run (construction included) so
-    # warm-start restores re-resolve under it; "pure" still enters the
-    # context to shadow any ambient REPRO_ACCEL=c, since the spec's
-    # resolved backend is part of its content hash.
+    # Backend selection wraps the whole run, construction included;
+    # "pure" still enters the context to shadow any ambient
+    # REPRO_ACCEL=c, since the spec's resolved backend is part of its
+    # content hash.
     backing = accel.backend(spec.backend)
-    if warm_start_dir is not None:
-        from repro.runner.checkpoint import CheckpointStore
-
-        warming = warm_start(CheckpointStore(warm_start_dir))
-    else:
-        warming = nullcontext()
     module = figure_module(spec.figure)
     kwargs = _run_kwargs(spec.cell)
     events_before = dispatched_total()
     fp_before = accel.fastpath_stats()
     started = time.perf_counter()
-    with backing, config_overrides(**dict(spec.overrides)), warming:
+    with backing, config_overrides(**dict(spec.overrides)):
         result = module.run(quick=spec.quick, seed=spec.seed, **kwargs)
     wall = time.perf_counter() - started
     events = dispatched_total() - events_before

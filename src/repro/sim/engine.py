@@ -67,7 +67,7 @@ arm one late callback, which drains the buffer in a canonical sorted
 order.  The observable schedule then depends only on the buffered keys,
 never on which producer happened to post first, so it stays independent
 of event-insertion history: a change that reorders unrelated posts (a
-new fast path, a restored checkpoint, the other backend) cannot move it.
+new fast path, the other backend) cannot move it.
 """
 
 from __future__ import annotations
@@ -197,10 +197,7 @@ class TimingWheel:
         #: Native fast-path counters, mirroring the C backend's member
         #: names so obs providers read either backend uniformly.  The
         #: pure dispatch loops never touch them (there is no native path
-        #: to hit or miss); both stay 0 here.  Part of ``_ENGINE_STATE``
-        #: like every other obs-visible counter: the registry snapshot
-        #: survives a checkpoint round-trip, and a warm-up that really
-        #: dispatched natively reports so even after a backend switch.
+        #: to hit or miss); both stay 0 here.
         self.fastpath_hits = 0
         self.fastpath_misses = 0
 
@@ -781,50 +778,8 @@ class TimingWheel:
         return dispatched
 
 
-#: Attributes that fully determine an engine's observable state, for the
-#: explicit pickle protocol below.  Explicit rather than ``__dict__``
-#: because the compiled backend (:mod:`repro.accel`) keeps the integer
-#: counters in extension struct fields that never appear in the instance
-#: dict — the same attribute list read via ``getattr`` covers both
-#: backends, and a state dict written under one backend applies cleanly
-#: under the other (every container is a plain Python list on both
-#: sides, including the overflow heap's array layout).
-_ENGINE_STATE = (
-    "_now",
-    "_seq",
-    "_wheel",
-    "_wheel_late",
-    "_wheel_pos",
-    "_horizon",
-    "_wheel_count",
-    "_overflow",
-    "_live",
-    "dispatched",
-    "sanitizer",
-    "tracer",
-    "_seed",
-    "_rng_children",
-    "_epoch_listeners",
-    "fastpath_hits",
-    "fastpath_misses",
-)
-
-
-def _rebuild_engine(seed: int) -> "Engine":
-    """Pickle factory: an empty engine of the backend active *now*.
-
-    Deliberately consults :func:`repro.accel.engine_class` at unpickle
-    time rather than recording the saving process's class, so a
-    checkpoint saved under one backend restores under whichever backend
-    the restoring process selected — the state dict is backend-neutral.
-    """
-    from repro import accel
-
-    return accel.engine_class()(seed)
-
-
 class _EngineMixin:
-    """Seeded-RNG and pickling layer shared by both backends' engines.
+    """Seeded-RNG layer shared by both backends' engines.
 
     ``Engine`` composes it with :class:`TimingWheel`;
     :mod:`repro.accel.engine` composes the same mixin with the compiled
@@ -837,17 +792,6 @@ class _EngineMixin:
         self._seed = seed
         self._rng_children: dict[str, Generator] = {}
         self._epoch_listeners: list[Callable[[int], None]] = []
-
-    # ------------------------------------------------------------------
-    # pickling (checkpoints)
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        state = {name: getattr(self, name) for name in _ENGINE_STATE}
-        return (_rebuild_engine, (self._seed,), state)
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # randomness

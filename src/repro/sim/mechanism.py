@@ -52,8 +52,7 @@ class QoSMechanism:
 
     # Uniform counter state, as class-level defaults: subclasses need no
     # ``super().__init__()`` call, and the first ``+= 1`` creates the
-    # instance attribute (so fresh mechanisms contribute no instance
-    # state to checkpoint prefix descriptions).
+    # instance attribute.
     _obs_epochs = 0
     _obs_granted = 0
     _obs_denied = 0

@@ -8,18 +8,14 @@ pacer, the interconnect, the front-end queue, and DRAM service.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 
 __all__ = [
     "AccessType",
     "LIFECYCLE_STAGES",
     "MemoryRequest",
-    "advance_request_ids",
     "next_request_id",
-    "request_id_watermark",
 ]
 
 #: Attribute names of the lifecycle timestamps, in hop order.
@@ -38,32 +34,6 @@ _request_ids = itertools.count()
 def next_request_id() -> int:
     """Return a process-unique, monotonically increasing request id."""
     return next(_request_ids)
-
-
-def request_id_watermark() -> int:
-    """Consume and return the counter's next id, as a restore watermark.
-
-    Recorded in simulation checkpoints: request ids are scheduler
-    tie-breaks (FR-FCFS, the PABST arbiter), so a run restored in a
-    fresh process must mint ids strictly above every id the snapshotted
-    warm-up phase produced — exactly as a cold run would have.
-    """
-    return next(_request_ids)
-
-
-def advance_request_ids(minimum: int) -> None:
-    """Ensure future request ids are ``>= minimum``.
-
-    ``MemoryRequest`` binds ``_request_ids.__next__`` as a default
-    factory at class-definition time, so the shared counter must be
-    advanced *in place* — rebinding the module global would strand the
-    dataclass on the old counter.  ``deque(..., maxlen=0)`` drains the
-    islice at C speed.  No-op when the counter is already past
-    ``minimum``; ids only ever move forward.
-    """
-    current = next(_request_ids)
-    if current < minimum:
-        deque(islice(_request_ids, minimum - current - 1), maxlen=0)
 
 
 class AccessType(str, Enum):

@@ -33,7 +33,7 @@ off by default and intended for CI integration runs and debugging.
 
 from __future__ import annotations
 
-from repro.sim.engine import _WHEEL_MASK, _WHEEL_SIZE, Event, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.records import MemoryRequest
 
 __all__ = ["SimSanitizer"]
@@ -166,198 +166,6 @@ class SimSanitizer:
                     "read(s) with partial lifecycle stamps (stage "
                     "attribution skipped) — a lifecycle-stamping bug"
                 )
-
-    # ------------------------------------------------------------------
-    # checkpoint-restore validation
-    # ------------------------------------------------------------------
-    def on_restore(self, system) -> None:
-        """Validate a system resurrected from a checkpoint.
-
-        Called by :func:`repro.runner.checkpoint.restore_system` on the
-        freshly unpickled object graph, before any measurement cycle
-        runs.  The per-hop hooks above catch violations as they happen;
-        this pass instead audits the *at-rest* state a snapshot claims
-        to be in, so a corrupt, truncated, or version-skewed checkpoint
-        fails here with a structural diagnosis instead of replaying into
-        a silently wrong figure.
-
-        Checks, in order:
-
-        * wheel-window geometry: ``horizon == wheel_pos + wheel size``
-          and the clock standing inside the window;
-        * bucket accounting: ``_wheel_count`` equals the entries
-          actually sitting in buckets;
-        * live-event conservation: the live counter equals the
-          uncancelled entries across wheel and overflow (a fired-but-
-          queued or double-counted entry breaks replay ordering);
-        * per-entry placement: every cancellable event sits in the
-          bucket its timestamp maps to, inside the window, in the
-          future, with a sequence number the engine has already minted
-          (same for overflow heap entries, which must also respect the
-          heap order the refill pop relies on);
-        * request sanity: every queued in-flight request has monotone
-          lifecycle stamps, none stamped beyond the restored clock, and
-          a non-negative virtual deadline;
-        * if a sanitizer was snapshotted with the system, its own
-          carried state still satisfies conservation and clock bounds.
-        """
-        engine = system.engine
-        now = engine._now
-        wheel_pos = engine._wheel_pos
-        horizon = engine._horizon
-        if horizon != wheel_pos + _WHEEL_SIZE:
-            self._fail(
-                f"restored wheel window is torn: horizon={horizon} != "
-                f"wheel_pos={wheel_pos} + {_WHEEL_SIZE}"
-            )
-        if not now <= wheel_pos <= now + 1:
-            self._fail(
-                f"restored clock outside its wheel window: now={now}, "
-                f"wheel_pos={wheel_pos}"
-            )
-        # _wheel_count spans both phases: the main wheel and the late
-        # wheel (whose entries are all fire-and-forget tuples)
-        bucket_entries = sum(len(bucket) for bucket in engine._wheel)
-        bucket_entries += sum(len(bucket) for bucket in engine._wheel_late)
-        if bucket_entries != engine._wheel_count:
-            self._fail(
-                f"restored wheel count is stale: _wheel_count="
-                f"{engine._wheel_count} but buckets hold {bucket_entries}"
-            )
-        live = 0
-        seq_ceiling = engine._seq
-        for index, bucket in enumerate(engine._wheel):
-            for entry in bucket:
-                if type(entry) in (tuple, list):
-                    live += 1
-                    continue
-                self._check_restored_event(
-                    entry, index, now, wheel_pos, horizon, seq_ceiling
-                )
-                if not entry.cancelled:
-                    live += 1
-        # late-phase entries are uncancellable fire-and-forget tuples
-        live += sum(len(bucket) for bucket in engine._wheel_late)
-        overflow = engine._overflow
-        for heap_index, (when, seq, entry) in enumerate(overflow):
-            if when < wheel_pos:
-                self._fail(
-                    f"restored overflow entry at cycle {when} is behind the "
-                    f"wheel window start {wheel_pos}"
-                )
-            if seq >= seq_ceiling:
-                self._fail(
-                    f"restored overflow entry carries unminted seq {seq} "
-                    f"(engine seq counter is {seq_ceiling})"
-                )
-            parent = (heap_index - 1) >> 1
-            if heap_index and overflow[parent][:2] > (when, seq):
-                self._fail(
-                    f"restored overflow heap order violated at index "
-                    f"{heap_index}: parent {overflow[parent][:2]} > "
-                    f"child {(when, seq)}"
-                )
-            if isinstance(entry, Event):
-                if entry.seq >= seq_ceiling:
-                    self._fail(
-                        f"restored overflow event carries unminted seq "
-                        f"{entry.seq} (engine seq counter is {seq_ceiling})"
-                    )
-                if not entry.cancelled:
-                    live += 1
-            else:
-                live += 1
-        if live != engine._live:
-            self._fail(
-                f"restored live-event counter out of sync: engine says "
-                f"{engine._live}, queues hold {live} live entries"
-            )
-        for req in self._iter_queued_requests(system):
-            self._check_restored_request(req, now)
-        snapshotted = engine.sanitizer
-        if snapshotted is not None and snapshotted is not self:
-            if snapshotted._last_event_when > now:
-                self._fail(
-                    "restored sanitizer saw an event at "
-                    f"{snapshotted._last_event_when}, after the restored "
-                    f"clock {now}"
-                )
-            if snapshotted.injected != (
-                snapshotted.completed + len(snapshotted._inflight)
-            ):
-                self._fail(
-                    "restored sanitizer violates conservation: injected="
-                    f"{snapshotted.injected} != completed="
-                    f"{snapshotted.completed} + in_flight="
-                    f"{len(snapshotted._inflight)}"
-                )
-        self.checks += 1
-
-    def _check_restored_event(
-        self,
-        event,
-        bucket_index: int,
-        now: int,
-        wheel_pos: int,
-        horizon: int,
-        seq_ceiling: int,
-    ) -> None:
-        self.checks += 1
-        if event.fired:
-            self._fail(
-                f"restored wheel holds an already-fired event for cycle "
-                f"{event.when}"
-            )
-        if not wheel_pos <= event.when < horizon:
-            self._fail(
-                f"restored event at cycle {event.when} lies outside the "
-                f"wheel window [{wheel_pos}, {horizon})"
-            )
-        if event.when < now:
-            self._fail(
-                f"restored event at cycle {event.when} is in the past "
-                f"(clock is at {now})"
-            )
-        if (event.when & _WHEEL_MASK) != bucket_index:
-            self._fail(
-                f"restored event at cycle {event.when} sits in bucket "
-                f"{bucket_index} instead of {event.when & _WHEEL_MASK}"
-            )
-        if event.seq >= seq_ceiling:
-            self._fail(
-                f"restored event carries unminted seq {event.seq} "
-                f"(engine seq counter is {seq_ceiling})"
-            )
-
-    @staticmethod
-    def _iter_queued_requests(system):
-        for per_core in system._mc_pending_reads:
-            for queue in per_core.values():
-                yield from queue
-        for queue in system._mc_pending_writes:
-            yield from queue
-
-    def _check_restored_request(self, req: MemoryRequest, now: int) -> None:
-        self.checks += 1
-        problem = req.lifecycle_violation()
-        if problem is not None:
-            self._fail(f"restored request: {problem}: {req.hop_trace()}")
-        latest = max((stamp for _, stamp in req.lifecycle()), default=-1)
-        if latest > now:
-            self._fail(
-                f"restored request stamped at {latest}, after the restored "
-                f"clock {now}: {req.hop_trace()}"
-            )
-        if req.completed_at >= 0:
-            self._fail(
-                f"restored request already completed but still queued: "
-                f"{req.hop_trace()}"
-            )
-        if req.virtual_deadline < 0:
-            self._fail(
-                f"restored request carries negative virtual deadline "
-                f"{req.virtual_deadline}: {req.hop_trace()}"
-            )
 
     # ------------------------------------------------------------------
     # internals

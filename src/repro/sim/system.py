@@ -203,8 +203,7 @@ class System:
 
         # Observability registry: pull-based (obj, attr) providers over
         # the counters the components maintain anyway, so registration
-        # adds no hot-path work (DESIGN.md §9).  Part of the pickled
-        # System graph, so checkpoints restore it with the components.
+        # adds no hot-path work (DESIGN.md §8).
         self.obs = Registry()
         self._register_obs()
 

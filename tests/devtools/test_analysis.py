@@ -65,7 +65,7 @@ def test_callable_annotations_map_to_unknown():
             ),
         }
     )
-    # bound methods pickle fine; Callable must not look like a hazard
+    # a Callable annotation names no class the index could resolve
     assert index.field_type("proj.a.Core", "access_fn") == "?"
 
 

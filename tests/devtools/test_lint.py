@@ -253,10 +253,9 @@ class TestPerf003SerializationConfinement:
         assert codes("import shelve\n", REPRO_PATH) == ["PERF003"]
         assert codes("import dill\n", REPRO_PATH) == ["PERF003"]
 
-    def test_checkpoint_module_is_allowed(self):
-        assert codes(
-            "import pickle\n", "src/repro/runner/checkpoint.py"
-        ) == []
+    def test_no_module_is_allowed(self):
+        for path in ("src/repro/runner/checkpoint.py", "src/repro/runner/cache.py"):
+            assert codes("import pickle\n", path) == ["PERF003"]
 
     def test_other_runner_modules_fire(self):
         assert codes(

@@ -223,7 +223,7 @@ def test_list_rules_table_covers_both_registries(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "per-file" in out and "whole-program" in out
-    for code in ("DET001", "DET101", "HOT003", "CKPT001", "OBS001"):
+    for code in ("DET001", "DET101", "HOT003", "PERF003", "OBS001"):
         assert code in out
     # autofixability column
     det004_row = next(line for line in out.splitlines() if line.startswith("DET004"))

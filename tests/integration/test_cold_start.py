@@ -7,8 +7,8 @@ imports only the modules it executes.  These properties keep that true:
   fresh interpreter loads — lazy packages no longer fix a global import
   order, so a latent cycle shows up as an ``ImportError`` here;
 * building and running a plain PABST system loads no numpy, no graph
-  library, no process pool, no checkpoint store, no sanitizer or tracer,
-  and no figure module — and nothing at all once simulated time is
+  library, no process pool, no sanitizer or tracer, and no figure
+  module — and nothing at all once simulated time is
   running;
 * chaser and SPEC-proxy runs, which draw ``integers`` and ``geometric``
   from :mod:`repro.sim.rng`, load no numpy either, and the ziggurat tables
@@ -78,7 +78,6 @@ FORBIDDEN_PREFIXES = (
     "concurrent.futures",
     "multiprocessing",
     "repro.runner.pool",
-    "repro.runner.checkpoint",
     "repro.experiments.fig",
     "repro.experiments.arena",
     "repro.sim.sanitizer",

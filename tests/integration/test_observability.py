@@ -3,8 +3,8 @@
 Covers the three obs surfaces end to end: the counter registry hung off
 ``System.obs``, the request tracer wired through engine/pacer/controller
 hook sites, and epoch metric sinks fed by ``Stats.close_epoch`` — plus
-the contracts that matter across features: byte-identical results with
-obs disabled, and checkpoint round-trips that keep registry state.
+the contract that matters across features: byte-identical results with
+obs disabled.
 """
 
 import pytest
@@ -67,24 +67,6 @@ class TestRegistry:
         counters = system.obs.counters()
         assert counters["pacer.c0.released"] > 0
         assert counters["governor.c0.epochs"] == 3
-
-    def test_registry_snapshot_survives_checkpoint(self, tmp_path):
-        from repro.runner.checkpoint import restore_system, snapshot_system
-
-        system = make_system(mechanism=PabstMechanism())
-        system.run_epochs(2)
-        before = system.obs.snapshot()
-        assert before["counters"]["stats.requests_enqueued"] > 0
-        checkpoint = snapshot_system(system, warmup_epochs=2, prefix_hash="x")
-        restored = restore_system(checkpoint)
-        # restored counters resume from the snapshot, not from zero
-        assert restored.obs.snapshot() == before
-        restored.run_epochs(1)
-        after = restored.obs.counters()
-        assert (
-            after["stats.requests_enqueued"]
-            > before["counters"]["stats.requests_enqueued"]
-        )
 
 
 class TestTracer:

@@ -90,8 +90,7 @@ class TestOwnedCounters:
 
 class TestPickling:
     def test_registry_with_providers_round_trips(self):
-        # (obj, attr) providers must pickle — checkpoints snapshot the
-        # registry as part of the System graph
+        # (obj, attr) providers pickle where a lambda provider could not
         registry = Registry()
         component = Component()
         component.accepted = 9

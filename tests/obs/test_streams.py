@@ -1,7 +1,6 @@
 """Unit tests for epoch metric records and sinks."""
 
 import json
-import pickle
 
 from repro.obs.streams import JsonlSink, MemorySink, epoch_record
 from repro.sim.stats import EpochSample
@@ -72,21 +71,6 @@ class TestJsonlSink:
         sink.publish({"epoch": 0})
         assert path.exists()
         sink.close()
-
-    def test_pickle_mid_stream_resumes_same_file(self, tmp_path):
-        # a checkpointed System may carry a JSONL sink; the restored
-        # clone must keep appending to the same path
-        path = tmp_path / "epochs.jsonl"
-        sink = JsonlSink(path)
-        sink.publish({"epoch": 0})
-        clone = pickle.loads(pickle.dumps(sink))
-        clone.publish({"epoch": 1})
-        clone.close()
-        sink.close()
-        epochs = [json.loads(line)["epoch"]
-                  for line in path.read_text().splitlines()]
-        assert epochs == [0, 1]
-        assert clone.published == 2
 
     def test_close_is_idempotent(self, tmp_path):
         sink = JsonlSink(tmp_path / "x.jsonl")

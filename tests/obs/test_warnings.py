@@ -17,10 +17,10 @@ def isolated_counters():
 def test_counts_by_name():
     obs_warn("cache.utime_failed", "could not touch %s", "x.json")
     obs_warn("cache.utime_failed", "could not touch %s", "y.json")
-    obs_warn("checkpoint.evict_unlink_failed", "could not evict %s", "z.pkl")
+    obs_warn("cache.evict_unlink_failed", "could not evict %s", "z.json")
     assert warning_counts() == {
         "cache.utime_failed": 2,
-        "checkpoint.evict_unlink_failed": 1,
+        "cache.evict_unlink_failed": 1,
     }
 
 

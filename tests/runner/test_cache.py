@@ -26,13 +26,28 @@ class TestResultCache:
         assert cache.load(spec.spec_hash(), "b" * 16) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        import json
+
+        from repro.obs.warnings import reset_warning_counters, warning_counts
+
+        reset_warning_counters()
         cache = ResultCache(tmp_path / "cache")
         spec = RunSpec(figure="fig05")
         path = cache.store(
             spec.spec_hash(), "f" * 16, spec.canonical_json(), {"ok": True}
         )
+        # a missing file is an ordinary miss and stays silent
+        assert cache.load(spec.spec_hash(), "e" * 16) is None
+        assert warning_counts() == {}
         path.write_text("{not json", encoding="utf-8")
         assert cache.load(spec.spec_hash(), "f" * 16) is None
+        assert warning_counts() == {"cache.corrupt_entry": 1}
+        entry = {"spec_hash": spec.spec_hash(), "fingerprint": "f" * 16,
+                 "result": [1]}
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.load(spec.spec_hash(), "f" * 16) is None
+        assert warning_counts() == {"cache.corrupt_entry": 2}
+        reset_warning_counters()
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

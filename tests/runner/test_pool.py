@@ -1,8 +1,41 @@
 """Tests for the sweep pool: caching, isolation, and parallel dispatch."""
 
+import multiprocessing
+import os
+
+import pytest
+
+from repro.obs.warnings import reset_warning_counters, warning_counts
+from repro.runner import pool as pool_module
 from repro.runner.cache import ResultCache
 from repro.runner.pool import run_specs
 from repro.runner.spec import RunSpec, specs_for_figure
+from repro.runner.worker import execute_payload
+
+#: The crash hook below reaches the workers through module globals, which
+#: only a forked child inherits.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="needs fork-started pool workers",
+)
+
+#: Path of the once-only crash marker; set per test, inherited on fork.
+_crash_marker = None
+
+
+def _crash_first_cell(payload):
+    """Kill the calling process on the first cell any process runs.
+
+    ``O_EXCL`` makes the marker a once-only latch across the workers: the
+    process that creates it exits without a result, every later call
+    (the other worker, the parent's sequential fallback) runs normally.
+    """
+    try:
+        fd = os.open(_crash_marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return execute_payload(payload)
+    os.close(fd)
+    os._exit(1)
 
 
 class TestSequentialSweep:
@@ -52,54 +85,39 @@ class TestSequentialSweep:
         assert outcomes[0].result["report"] != outcomes[1].result["report"]
 
 
-class TestWarmStartSweep:
+class TestBrokenPool:
+    """A worker killed mid-cell breaks the pool; the sweep still finishes."""
+
     #: Tiny epochs so each cell's simulated window stays in the
-    #: milliseconds; the grouping logic under test is scale-free.
-    OVERRIDES = {"epoch_cycles": 400}
-
-    def _specs(self, measure_lengths, seed=0):
-        return [
-            RunSpec(
-                figure="fig05",
-                cell={"measure_epochs": length},
-                seed=seed,
-                overrides=self.OVERRIDES,
-            )
-            for length in measure_lengths
-        ]
-
-    def test_group_key_ignores_measurement_knobs(self):
-        short, long = self._specs([5, 10])
-        assert short.spec_hash() != long.spec_hash()
-        assert short.warmup_group_key() == long.warmup_group_key()
-
-    def test_group_key_separates_prefix_changes(self):
-        (base,) = self._specs([5])
-        (other_seed,) = self._specs([5], seed=1)
-        assert base.warmup_group_key() != other_seed.warmup_group_key()
-        tweaked = RunSpec(
+    #: milliseconds; the fallback under test is scale-free.
+    SPECS = [
+        RunSpec(
             figure="fig05",
-            cell={"measure_epochs": 5},
-            overrides={"epoch_cycles": 800},
+            cell={"measure_epochs": length},
+            overrides={"epoch_cycles": 400},
         )
-        assert base.warmup_group_key() != tweaked.warmup_group_key()
+        for length in (5, 8)
+    ]
 
-    def test_warm_started_sweep_matches_cold(self, tmp_path):
-        specs = self._specs([5, 8, 11])
-        cold = run_specs(specs, workers=1)
-        warm = run_specs(
-            specs, workers=1, warm_start_dir=str(tmp_path / "ckpt")
-        )
-        assert [o.ok for o in cold] == [True, True, True]
-        assert [o.ok for o in warm] == [True, True, True]
-        for cold_outcome, warm_outcome in zip(cold, warm):
-            assert (
-                warm_outcome.result["report"] == cold_outcome.result["report"]
-            )
-        # all three cells shared one warm-up prefix -> one checkpoint
-        from repro.runner.checkpoint import CheckpointStore
+    @pytest.fixture(autouse=True)
+    def isolated_counters(self):
+        reset_warning_counters()
+        yield
+        reset_warning_counters()
 
-        assert len(CheckpointStore(tmp_path / "ckpt")) == 1
+    @fork_only
+    def test_killed_worker_falls_back_to_sequential(self, tmp_path, monkeypatch):
+        sequential = run_specs(self.SPECS, workers=1)
+        marker = tmp_path / "crashed"
+        monkeypatch.setitem(globals(), "_crash_marker", str(marker))
+        monkeypatch.setattr(pool_module, "execute_payload", _crash_first_cell)
+        outcomes = run_specs(self.SPECS, workers=2)
+        assert marker.exists()  # a worker really died
+        assert [o.ok for o in outcomes] == [True, True]
+        assert [o.result["report"] for o in outcomes] == [
+            o.result["report"] for o in sequential
+        ]
+        assert warning_counts() == {"pool.broken": 1}
 
 
 class TestParallelSweep:

@@ -50,13 +50,6 @@ class TestSpecHash:
         assert again.backend == "c"
         assert again.spec_hash() == spec.spec_hash()
 
-    def test_warmup_group_key_is_backend_free(self):
-        """Checkpoints are backend-neutral, so specs differing only in
-        backend share one warm-up prefix."""
-        pure = RunSpec(figure="fig05", backend="pure")
-        compiled = RunSpec(figure="fig05", backend="c")
-        assert pure.warmup_group_key() == compiled.warmup_group_key()
-
     def test_payload_roundtrip(self):
         spec = RunSpec(
             figure="fig07",
@@ -95,12 +88,11 @@ class TestSpecsForFigure:
             assert specs[0].cell == {}
 
     def test_fig05_measurement_grid(self):
-        """fig05 sweeps the measurement window; all cells share one
-        warm-up prefix, so a warm-started sweep pays warm-up once."""
+        """fig05 sweeps the measurement window and nothing else."""
         specs = specs_for_figure("fig05", quick=True)
         assert len(specs) == 9
         assert len({spec.spec_hash() for spec in specs}) == 9
-        assert len({spec.warmup_group_key() for spec in specs}) == 1
+        assert {tuple(spec.cell) for spec in specs} == {("measure_epochs",)}
 
     def test_every_figure_expands(self):
         from repro.cli import EXPERIMENTS

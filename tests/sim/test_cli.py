@@ -99,3 +99,52 @@ class TestTrace:
         ]) == 0
         out = capsys.readouterr().out
         assert "dropped by the ring" in out
+
+
+class TestWarningCounters:
+    """Counters print in the process that raised them, after the summary."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_counters(self):
+        from repro.obs.warnings import reset_warning_counters
+
+        reset_warning_counters()
+        yield
+        reset_warning_counters()
+
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        """Skip the simulation: every cache miss returns a canned result."""
+        import repro.runner.pool as pool
+
+        monkeypatch.setattr(
+            pool, "execute_payload",
+            lambda payload: {"ok": True, "report": "stub report",
+                             "events_per_sec": 0.0},
+        )
+
+    def test_sweep_prints_counters_after_summary(self, capsys, tmp_path, stub_runs):
+        from repro.runner import ResultCache, source_fingerprint, specs_for_figure
+
+        (spec,) = specs_for_figure("fig06", quick=True, backend="pure")
+        cache = ResultCache(tmp_path)
+        path = cache.store(
+            spec.spec_hash(), source_fingerprint(), spec.canonical_json(), {"ok": True}
+        )
+        path.write_text("{not json", encoding="utf-8")
+        assert main(["sweep", "fig06", "--quick", "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3].startswith("[1 cell(s), 0 cached, 0 failed")
+        assert lines[-2:] == ["warnings:", "  cache.corrupt_entry: 1"]
+
+    def test_clean_sweep_prints_no_warnings(self, capsys, tmp_path, stub_runs):
+        assert main(["sweep", "fig06", "--quick", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("[1 cell(s)")
+        assert "warnings:" not in out
+
+    def test_cache_command_reports_only_the_result_cache(self, capsys, tmp_path):
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{tmp_path}: 0 result(s), 0 bytes (cap 256)"
+        ]

@@ -141,6 +141,7 @@ def test_geometric_on_both_sides_of_one_third():
 
 
 def test_pickle_round_trip_mid_stream():
+    """Like numpy's, a Generator pickles mid-stream, buffered half-word too."""
     ours = Generator(SeedSequence(77, spawn_key=(5,)))
     ref = numpy_generator(77, (5,))
     head = [("integers", 1000), ("random",), ("integers", 3), ("integers", 3)]
