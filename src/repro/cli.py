@@ -10,14 +10,9 @@ Usage::
     python -m repro arena [--quick] [--mechanisms a,b] [--scenarios x,y]
                           [--workers N] [--output PATH]
                           [--backend {pure,c,auto}]
-    python -m repro cache [--stats] [--clear]
+    python -m repro cache [--clear]
     python -m repro trace fig05 [--quick] [--seed N] [--output PATH]
                           [--buffer N] [--metrics PATH] [--sanitize]
-                          [--backend {pure,c,auto}]
-    python -m repro bench [figs ...] [--quick] [--check BASELINE]
-                          [--repeat N] [--update] [--no-history]
-                          [--backend {pure,c,auto}]
-    python -m repro profile fig05 [--quick] [--top N] [--output PATH]
                           [--backend {pure,c,auto}]
     python -m repro accel [info|build]
     python -m repro info
@@ -32,10 +27,11 @@ whole-program analysis pass (:mod:`repro.devtools.lint`,
 to the linter.
 ``sweep`` and ``arena`` end with any warnings counted by
 :mod:`repro.obs.warnings` while they ran (a corrupt cache entry, a
-broken process pool); ``cache`` reports or clears the result cache
-under ``.repro-cache/``.  ``trace`` re-runs one
-experiment with the request tracer attached (:mod:`repro.obs.trace`) and
-writes Chrome trace-event JSON viewable in Perfetto or chrome://tracing.
+broken process pool); ``cache`` reports the result cache under
+``.repro-cache/``, emptying it first with ``--clear``.  ``trace`` re-runs
+one experiment with the request tracer attached (:mod:`repro.obs.trace`)
+and writes Chrome trace-event JSON viewable in Perfetto or
+chrome://tracing.
 ``--backend`` selects the engine implementation (:mod:`repro.accel`):
 ``pure`` is the always-available reference, ``c`` compiles and loads the
 extension (an error when no toolchain is present), and ``auto`` uses a
@@ -133,7 +129,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 def _resolve_backend(name: str) -> str | None:
     """Resolve ``--backend`` at the CLI boundary; None (+stderr) on failure.
 
-    Specs carry the *resolved* name, so cache entries and bench records
+    Specs carry the *resolved* name, so cache entries and sweep summaries
     never say "auto" — they say which backend actually ran.
     """
     from repro import accel
@@ -299,7 +295,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     if args.clear:
         print(f"[removed {cache.clear()} result(s)]")
-    # default (and --stats): report the store's footprint
     stats = cache.stats()
     print(f"{stats['directory']}: {stats['entries']} result(s), "
           f"{stats['bytes']:,} bytes (cap {stats['max_entries']})")
@@ -358,131 +353,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if metrics_sink is not None:
         print(f"[wrote {metrics_sink.published} epoch record(s) "
               f"to {args.metrics}]")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runner.bench import (
-        BASELINE_PATH,
-        append_history,
-        check_against_baseline,
-        default_bench_path,
-        run_bench,
-        write_bench,
-    )
-
-    figures = args.figures or list(EXPERIMENTS)
-    unknown = [name for name in figures if name not in EXPERIMENTS]
-    if unknown:
-        known = ", ".join(EXPERIMENTS)
-        print(f"unknown experiment(s) {unknown}; known: {known}",
-              file=sys.stderr)
-        return 2
-    backend = _resolve_backend(args.backend)
-    if backend is None:
-        return 2
-    document = run_bench(
-        figures, quick=args.quick, seed=args.seed, repeat=args.repeat,
-        backend=backend,
-    )
-    fingerprint = document.get("accel_fingerprint")
-    tag = f", build {fingerprint}" if fingerprint else ""
-    print(f"[backend: {document['backend']}{tag}]")
-    failures = 0
-    for figure, entry in document["figures"].items():
-        if entry.get("ok"):
-            print(f"{figure:<8} {entry['wall_seconds']:>8.2f}s  "
-                  f"{entry['events']:>12,} events  "
-                  f"{entry['events_per_sec']:>12,.0f} events/s")
-            compiled = entry.get("compiled")
-            if compiled is not None:
-                if compiled.get("ok"):
-                    rate = compiled.get("fastpath_hit_rate")
-                    coverage = (
-                        f", fast-path {rate:.2%}" if rate is not None else ""
-                    )
-                    print(f"{'':<8} vs pure: "
-                          f"{compiled['pure_wall_seconds']:.2f}s pure  "
-                          f"({compiled['speedup_vs_pure']:.2f}x compiled, "
-                          f"byte-identical{coverage})")
-                else:
-                    failures += 1
-                    print(f"{'':<8} vs pure FAILED: {compiled.get('error')}")
-        else:
-            print(f"{figure:<8} FAILED: {entry.get('error')}")
-
-    if args.check is not None:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        problems = check_against_baseline(
-            document, baseline, tolerance=args.tolerance
-        )
-        for problem in problems:
-            print(f"REGRESSION {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"[within {args.tolerance:.0%} of {args.check}]")
-
-    if args.update:
-        output = BASELINE_PATH
-    elif args.output is not None:
-        output = args.output
-    else:
-        output = default_bench_path()
-    path = write_bench(document, output)
-    print(f"[wrote {path}]")
-    if not args.no_history:
-        history = append_history(document)
-        print(f"[appended to {history}]")
-    return 1 if failures else 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runner.bench import run_profile, write_bench
-
-    if args.experiment not in EXPERIMENTS:
-        known = ", ".join(EXPERIMENTS)
-        print(f"unknown experiment {args.experiment!r}; known: {known}",
-              file=sys.stderr)
-        return 2
-    backend = _resolve_backend(args.backend)
-    if backend is None:
-        return 2
-    report = run_profile(
-        args.experiment, quick=args.quick, seed=args.seed, top=args.top,
-        backend=backend,
-    )
-    if not report["ok"]:
-        print(f"{args.experiment} FAILED: {report.get('error')}", file=sys.stderr)
-        return 1
-    fingerprint = report.get("accel_fingerprint")
-    tag = f", build {fingerprint}" if fingerprint else ""
-    print(f"[backend: {report['backend']}{tag}]")
-    print(f"{args.experiment:<8} {report['wall_seconds']:>8.2f}s (profiled)  "
-          f"{report['events']:>12,} events  "
-          f"{report['events_per_sec']:>12,.0f} events/s")
-    fastpath = report.get("fastpath")
-    if fastpath is not None:
-        print(f"  fast-path: {fastpath['hits']:,} hits / "
-              f"{fastpath['misses']:,} misses "
-              f"({fastpath['hit_rate']:.2%} native dispatch)")
-        kinds = sorted(
-            fastpath.get("kinds", {}).items(), key=lambda kv: -kv[1]
-        )
-        for tag, count in kinds:
-            print(f"    {tag:<24} {count:>12,}")
-    for spot in report["hotspots"][:10]:
-        location = f"{spot['file']}:{spot['line']}"
-        print(f"  {spot['tottime']:>8.3f}s  {spot['function']:<28} {location}")
-    if args.output is not None:
-        path = write_bench(report, args.output)
-        print(f"[wrote {path}]")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -643,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("--cache-dir", default=".repro-cache",
                        help="cache directory (default: .repro-cache)")
-    cache.add_argument("--stats", action="store_true",
-                       help="report the cache footprint (the default action)")
     cache.add_argument("--clear", action="store_true",
                        help="delete every cached result")
     cache.set_defaults(func=_cmd_cache)
@@ -670,44 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable the runtime invariant sanitizer")
     _add_backend_argument(trace)
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench", help="measure wall-clock and events/sec per figure"
-    )
-    bench.add_argument("figures", nargs="*",
-                       help="figures to benchmark (default: all)")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced scale (seconds instead of minutes)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output", default=None,
-                       help="output JSON path (default: BENCH_<timestamp>.json)")
-    bench.add_argument("--check", default=None,
-                       help="baseline JSON to compare events/sec against")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed events/sec drop vs baseline (default 0.30)")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="runs per figure; median wall time is reported "
-                            "(default 3)")
-    bench.add_argument("--update", action="store_true",
-                       help="rewrite BENCH_baseline.json in place")
-    bench.add_argument("--no-history", action="store_true",
-                       help="skip appending this run to BENCH_history.jsonl")
-    _add_backend_argument(bench)
-    bench.set_defaults(func=_cmd_bench)
-
-    profile = sub.add_parser(
-        "profile", help="run one figure under cProfile, emit a JSON hotspot report"
-    )
-    profile.add_argument("experiment", help="experiment name, e.g. fig05")
-    profile.add_argument("--quick", action="store_true",
-                         help="reduced scale (seconds instead of minutes)")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--top", type=int, default=25,
-                         help="hotspots to keep, ranked by tottime (default 25)")
-    profile.add_argument("--output", default=None,
-                         help="write the JSON report here (default: stdout)")
-    _add_backend_argument(profile)
-    profile.set_defaults(func=_cmd_profile)
 
     accel = sub.add_parser(
         "accel",

@@ -46,8 +46,8 @@ PERF002   ``heapq`` may only be imported by ``sim/engine.py``.  The
           heap traffic the wheel exists to avoid.
 PERF003   serialization modules (``pickle``, ``marshal``, ``shelve``,
           ``dill``) are banned from the package.  Everything the
-          package persists (result cache, analysis cache, bench and
-          arena documents) is JSON: a pickle on disk is neither
+          package persists (result cache, analysis cache, arena
+          documents) is JSON: a pickle on disk is neither
           diffable nor safe to load, and pickling simulator state drags
           serialization overhead and restore hazards into simulation
           code.

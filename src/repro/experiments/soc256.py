@@ -5,7 +5,7 @@ but the scaling scenario its epoch-based control loop is built for: a
 256-core, 32-channel SoC where a single engine's event loop is the
 simulation bottleneck.  Four bandwidth classes of pure streamers keep
 the run memory-bound, so most simulated work lives on the memory
-controllers.  ``repro bench soc256`` times the engine at this scale.
+controllers.  ``repro run soc256`` prints its wall time at this scale.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Parallel experiment runner: sweeps, caching, and benchmarking.
+"""Parallel experiment runner: sweeps and caching.
 
 The nine ``fig*`` experiment modules each expose their grid as
 ``sweep_cells(quick)`` — a list of independent kwargs dicts for their
@@ -10,10 +10,7 @@ The nine ``fig*`` experiment modules each expose their grid as
 * :mod:`repro.runner.pool` — process-pool fan-out with per-spec
   timeouts, failure isolation, and a sequential fallback;
 * :mod:`repro.runner.cache` — an on-disk result cache keyed by spec
-  hash + source fingerprint, so repeated sweeps are near-instant;
-* :mod:`repro.runner.bench` — wall-clock / events-per-second benchmarks
-  with a committed-baseline regression check (CI's perf smoke test)
-  and an append-only ``BENCH_history.jsonl`` perf trajectory.
+  hash + source fingerprint, so repeated sweeps are near-instant.
 
 None of this code runs inside simulated time: the simulation kernels it
 drives stay bit-identical whether invoked directly, through a sweep, or

@@ -8,7 +8,7 @@ never match on load and are reclaimed by the LRU cap: the store evicts
 the least-recently-used entries beyond ``max_entries`` (hits refresh
 recency via mtime), so the cache stays bounded across source changes
 instead of growing a dead file per edited line of simulator code.
-``repro cache --stats/--clear`` exposes the same accounting on the CLI.
+``repro cache [--clear]`` exposes the same accounting on the CLI.
 Tolerated failures (an unreadable recency stamp, a failed eviction, a
 corrupt entry) are counted through :mod:`repro.obs.warnings`.
 """
@@ -153,7 +153,7 @@ class ResultCache:
         return removed
 
     def stats(self) -> dict[str, Any]:
-        """Entry count and on-disk footprint for ``repro cache --stats``."""
+        """Entry count and on-disk footprint, as ``repro cache`` prints them."""
         entries = self._entries()
         return {
             "directory": str(self.directory),

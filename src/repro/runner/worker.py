@@ -4,7 +4,7 @@
 plain dicts, so it pickles cleanly across the ``ProcessPoolExecutor``
 boundary.  It measures wall-clock time and the number of simulation
 events dispatched (via :func:`repro.sim.engine.dispatched_total`), the
-two numbers the bench and sweep reports are built from.
+two numbers behind the events/s figure ``repro sweep`` prints per cell.
 
 Failures are part of the contract: any exception inside the figure run
 is caught and returned as a ``{"ok": False, ...}`` payload, so one bad
@@ -72,7 +72,6 @@ def execute_spec(spec: RunSpec) -> dict[str, Any]:
     module = figure_module(spec.figure)
     kwargs = _run_kwargs(spec.cell)
     events_before = dispatched_total()
-    fp_before = accel.fastpath_stats()
     started = time.perf_counter()
     with backing, config_overrides(**dict(spec.overrides)):
         result = module.run(quick=spec.quick, seed=spec.seed, **kwargs)
@@ -87,39 +86,9 @@ def execute_spec(spec: RunSpec) -> dict[str, Any]:
         "events": events,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    fastpath = _fastpath_delta(fp_before, accel.fastpath_stats())
-    if fastpath is not None:
-        outcome["fastpath"] = fastpath
     # Result objects that expose a structured document (the arena) ship
     # it through the cache so reports can be merged without re-running.
     if hasattr(result, "metrics"):
         outcome["metrics"] = result.metrics()
     return outcome
 
-
-def _fastpath_delta(
-    before: Mapping[str, Any], after: Mapping[str, Any]
-) -> dict[str, Any] | None:
-    """Native fast-path counter delta for one run, or None if idle.
-
-    The extension's counters are process-global, so the delta isolates
-    this run's dispatch coverage.  A pure-backend run moves nothing and
-    reports nothing.
-    """
-    hits = after["hits"] - before["hits"]
-    misses = after["misses"] - before["misses"]
-    if hits == 0 and misses == 0:
-        return None
-    kinds_before = before.get("kinds", {})
-    kinds = {
-        tag: count - kinds_before.get(tag, 0)
-        for tag, count in after.get("kinds", {}).items()
-        if count - kinds_before.get(tag, 0) > 0
-    }
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": round(hits / total, 6) if total > 0 else 0.0,
-        "kinds": kinds,
-    }

@@ -90,7 +90,7 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-#: Process-wide count of events dispatched by every engine (bench metric).
+#: Process-wide count of events dispatched by every engine (sweep events/s).
 _dispatched_total = 0
 
 

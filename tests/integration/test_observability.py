@@ -7,8 +7,13 @@ the contract that matters across features: byte-identical results with
 obs disabled.
 """
 
+import cProfile
+import pstats
+from pathlib import Path
+
 import pytest
 
+import repro.obs
 from repro.core.pabst import PabstMechanism
 from repro.obs.streams import MemorySink
 from repro.obs.trace import RequestTracer, validate_chrome_trace
@@ -138,6 +143,23 @@ class TestDisabledModeIsFree:
         assert [s.bytes_by_class for s in sampled.stats.epochs] == [
             s.bytes_by_class for s in plain.stats.epochs
         ]
+
+    def test_untraced_run_calls_no_obs_code(self):
+        # the perf half of the contract, counted instead of timed: an
+        # untraced run with no sinks never enters repro/obs/ (registration
+        # happens while the system is built, before the profiled window)
+        system = make_system(mechanism=PabstMechanism())
+        profiler = cProfile.Profile()
+        profiler.runcall(system.run_epochs, 3)
+        obs_dir = Path(repro.obs.__file__).resolve().parent
+        obs_calls = {
+            f"{Path(filename).name}:{line}:{function}": calls
+            for (filename, line, function), (_, calls, *_)
+            in pstats.Stats(profiler).stats.items()
+            if Path(filename).resolve().parent == obs_dir
+        }
+        assert len(system.stats.epochs) == 3
+        assert obs_calls == {}
 
 
 class TestSanitizerStatsInvariants:
