@@ -4,21 +4,20 @@
  * repro.sim.engine.TimingWheel (run_until, run) plus the memory
  * controller's bank-ready/row-hit scan, behind a base type the Python
  * backend classes subclass.  It is a *mirror*, not a redesign: every
- * loop below is a line-for-line port of the pure-Python reference, and
- * the determinism contract is byte-identical dispatch order — see
- * DESIGN.md §10 for the argument.
+ * loop below ports the pure-Python reference step for step (run_until
+ * and run share one loop, wheel_loop), and the determinism contract is
+ * byte-identical dispatch order — see DESIGN.md §10 for the argument.
  *
  * Shared representation: all scheduler state lives in Python-visible
  * members (plain lists for the wheel/overflow, C long longs for the
  * counters, exposed as attributes with the exact names the pure class
- * uses).  The pure-Python scheduling entry points (schedule/post/...),
- * the sanitizer, and the inlined wheel inserts in system.py/controller.py
- * therefore operate on a WheelCore instance unchanged.
+ * uses).  The pure-Python scheduling entry points (schedule/post/...)
+ * and the sanitizer therefore operate on a WheelCore instance unchanged;
+ * model code schedules only through those entry points.
  *
- * Overflow-heap layout: the siftup/siftdown routines replicate CPython
- * heapq's algorithms exactly (element comparisons via PyObject_RichCompareBool
- * on the (when, seq, entry) tuples), so a heap built by any mix of C
- * and Python pushes has the identical array layout.
+ * Overflow heap: the C code calls CPython's heapq.heappush/heappop
+ * (looked up once at module init) on the same (when, seq, entry) list
+ * the pure methods push onto.
  *
  * Build: gcc -O2 -shared -fPIC (see repro.accel.build); no libraries
  * beyond Python.h.
@@ -179,105 +178,11 @@ call_callback(PyObject *callback, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* heapq replica (push/pop on a plain PyList of (when, seq, entry))   */
+/* overflow heap: CPython's own heapq, looked up once at module init  */
 /* ------------------------------------------------------------------ */
 
-static int
-heap_lt(PyObject *a, PyObject *b)
-{
-    /* Exactly heapq's `a < b`; (when, seq) is unique so the compare
-     * never falls through to the entry. */
-    return PyObject_RichCompareBool(a, b, Py_LT);
-}
-
-static int
-heap_siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos)
-{
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_INCREF(newitem);
-    while (pos > startpos) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        PyObject *parent = PyList_GET_ITEM(heap, parentpos);
-        int lt = heap_lt(newitem, parent);
-        if (lt < 0) {
-            Py_DECREF(newitem);
-            return -1;
-        }
-        if (!lt)
-            break;
-        Py_INCREF(parent);
-        PyList_SetItem(heap, pos, parent);
-        pos = parentpos;
-    }
-    PyList_SetItem(heap, pos, newitem);
-    return 0;
-}
-
-static int
-heap_siftup(PyObject *heap, Py_ssize_t pos)
-{
-    Py_ssize_t endpos = PyList_GET_SIZE(heap);
-    Py_ssize_t startpos = pos;
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_INCREF(newitem);
-    Py_ssize_t childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        Py_ssize_t rightpos = childpos + 1;
-        if (rightpos < endpos) {
-            int lt = heap_lt(PyList_GET_ITEM(heap, childpos),
-                             PyList_GET_ITEM(heap, rightpos));
-            if (lt < 0) {
-                Py_DECREF(newitem);
-                return -1;
-            }
-            if (!lt)
-                childpos = rightpos;
-        }
-        PyObject *child = PyList_GET_ITEM(heap, childpos);
-        Py_INCREF(child);
-        PyList_SetItem(heap, pos, child);
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    PyList_SetItem(heap, pos, newitem);
-    return heap_siftdown(heap, startpos, pos);
-}
-
-static int
-heap_push(PyObject *heap, PyObject *item)
-{
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    return heap_siftdown(heap, 0, PyList_GET_SIZE(heap) - 1);
-}
-
-/* Returns a new reference, or NULL on error. */
-static PyObject *
-heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    if (n == 0) {
-        PyErr_SetString(PyExc_IndexError, "index out of range");
-        return NULL;
-    }
-    PyObject *lastelt = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(lastelt);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(lastelt);
-        return NULL;
-    }
-    if (PyList_GET_SIZE(heap)) {
-        PyObject *returnitem = PyList_GET_ITEM(heap, 0);
-        Py_INCREF(returnitem);
-        PyList_SetItem(heap, 0, lastelt);
-        if (heap_siftup(heap, 0) < 0) {
-            Py_DECREF(returnitem);
-            return NULL;
-        }
-        return returnitem;
-    }
-    return lastelt;
-}
+static PyObject *g_heappush = NULL;
+static PyObject *g_heappop = NULL;
 
 /* when of overflow[0]; -1 on error, 0 with *has=0 when empty. */
 static int
@@ -349,19 +254,75 @@ check_state(WheelCore *self)
     return 0;
 }
 
-/* self._refill(), C side: move overflow entries now inside the window. */
+/* Engine.post_at's body for a pre-validated int `when` >= _now and a
+ * ready-made entry (borrowed): bucket append inside the window, heapq
+ * push with a fresh seq beyond it.  Also the fused chain continuation
+ * and the tail of post_chain_at. */
 static int
-core_refill(WheelCore *self)
+core_post_entry(WheelCore *self, long long when, PyObject *entry)
 {
+    self->live += 1;
+    if (when < self->horizon) {
+        PyObject *bucket =
+            PyList_GET_ITEM(self->wheel, (Py_ssize_t)(when & WHEEL_MASK));
+        if (!PyList_Check(bucket)) {
+            PyErr_SetString(PyExc_TypeError, "wheel bucket is not a list");
+            return -1;
+        }
+        if (PyList_Append(bucket, entry) < 0)
+            return -1;
+        self->wheel_count += 1;
+        return 0;
+    }
+    long long seq = self->seq;
+    self->seq = seq + 1;
+    PyObject *when_obj = PyLong_FromLongLong(when);
+    PyObject *seq_obj = PyLong_FromLongLong(seq);
+    PyObject *item = NULL;
+    if (when_obj != NULL && seq_obj != NULL)
+        item = PyTuple_Pack(3, when_obj, seq_obj, entry);
+    Py_XDECREF(when_obj);
+    Py_XDECREF(seq_obj);
+    if (item == NULL)
+        return -1;
+    PyObject *result =
+        PyObject_CallFunctionObjArgs(g_heappush, self->overflow, item, NULL);
+    Py_DECREF(item);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+static int
+core_post_call(WheelCore *self, long long when, PyObject *callback,
+               PyObject *args)
+{
+    PyObject *entry = PyTuple_Pack(2, callback, args);
+    if (entry == NULL)
+        return -1;
+    int rc = core_post_entry(self, when, entry);
+    Py_DECREF(entry);
+    return rc;
+}
+
+/* TimingWheel._slide(pos): start the window at `pos`, move the overflow
+ * entries it now covers into their buckets, and store the cycle at which
+ * the window would cover the remaining overflow head in *next_refill. */
+static int
+core_slide(WheelCore *self, long long pos, long long *next_refill)
+{
+    long long when = 0;
+    int has;
     long long moved = 0;
+    self->wheel_pos = pos;
+    self->horizon = pos + WHEEL_SIZE;
     for (;;) {
-        long long when;
-        int has;
         if (overflow_head(self->overflow, &when, &has) < 0)
             return -1;
         if (!has || when >= self->horizon)
             break;
-        PyObject *item = heap_pop(self->overflow);
+        PyObject *item = PyObject_CallOneArg(g_heappop, self->overflow);
         if (item == NULL)
             return -1;
         PyObject *bucket =
@@ -378,66 +339,51 @@ core_refill(WheelCore *self)
         moved++;
     }
     self->wheel_count += moved;
+    *next_refill = has ? when - WHEEL_SIZE + 1 : NEVER_LL;
     return 0;
 }
 
-/* Insert a fused chain's continuation: mirror of the pure loops' inline
- * block.  `horizon` is the caller's view (local variable in run_until,
- * self->horizon in run), matching the pure code exactly. */
+/* The overflow head's refill cycle, without moving the window. */
 static int
-chain_continue(WheelCore *self, PyObject *entry, long long pos,
-               long long horizon)
+next_refill_of(WheelCore *self, long long *next_refill)
+{
+    long long head;
+    int has;
+    if (overflow_head(self->overflow, &head, &has) < 0)
+        return -1;
+    *next_refill = has ? head - WHEEL_SIZE + 1 : NEVER_LL;
+    return 0;
+}
+
+/* Insert a fused chain's continuation exactly where the pure loops'
+ * self.post_at(pos + link_delay, link_callback, *link_args) puts it. */
+static int
+chain_continue(WheelCore *self, PyObject *entry, long long pos)
 {
     long long link_delay;
     if (ll_from(PyList_GET_ITEM(entry, 2), &link_delay) < 0)
         return -1;
-    long long when2 = pos + link_delay;
-    self->live += 1;
-    PyObject *cont = PyTuple_Pack(2, PyList_GET_ITEM(entry, 3),
-                                  PyList_GET_ITEM(entry, 4));
-    if (cont == NULL)
-        return -1;
-    if (when2 < horizon) {
-        PyObject *bucket =
-            PyList_GET_ITEM(self->wheel, (Py_ssize_t)(when2 & WHEEL_MASK));
-        int rc = PyList_Append(bucket, cont);
-        Py_DECREF(cont);
-        if (rc < 0)
-            return -1;
-        self->wheel_count += 1;
-        return 0;
-    }
-    long long seq = self->seq;
-    self->seq = seq + 1;
-    PyObject *when_obj = PyLong_FromLongLong(when2);
-    PyObject *seq_obj = PyLong_FromLongLong(seq);
-    PyObject *item = NULL;
-    if (when_obj != NULL && seq_obj != NULL)
-        item = PyTuple_Pack(3, when_obj, seq_obj, cont);
-    Py_XDECREF(when_obj);
-    Py_XDECREF(seq_obj);
-    Py_DECREF(cont);
-    if (item == NULL)
-        return -1;
-    int rc = heap_push(self->overflow, item);
-    Py_DECREF(item);
-    return rc;
+    return core_post_call(self, pos + link_delay, PyList_GET_ITEM(entry, 3),
+                          PyList_GET_ITEM(entry, 4));
 }
 
-/* Dispatch one Event-shaped entry.  Returns 1 if it fired, 0 if it was
- * cancelled (skipped), -1 on error. */
+/* `entry.cancelled` of an Event-shaped entry: 1, 0, or -1 on error. */
 static int
-dispatch_event(PyObject *entry)
+event_cancelled(PyObject *entry)
 {
     PyObject *flag = PyObject_GetAttr(entry, s_cancelled);
     if (flag == NULL)
         return -1;
     int cancelled = PyObject_IsTrue(flag);
     Py_DECREF(flag);
-    if (cancelled < 0)
-        return -1;
-    if (cancelled)
-        return 0;
+    return cancelled;
+}
+
+/* `entry.fired = True; entry.callback(*entry.args)` for a live Event.
+ * Event entries have no kind tag: always a fast-path miss. */
+static int
+fire_event(WheelCore *self, PyObject *entry)
+{
     if (PyObject_SetAttr(entry, s_fired, Py_True) < 0)
         return -1;
     PyObject *callback = PyObject_GetAttr(entry, s_callback);
@@ -451,7 +397,28 @@ dispatch_event(PyObject *entry)
     int rc = call_callback(callback, args);
     Py_DECREF(callback);
     Py_DECREF(args);
-    return rc < 0 ? -1 : 1;
+    if (rc < 0)
+        return -1;
+    self->fastpath_misses += 1;
+    g_fp_misses += 1;
+    return 0;
+}
+
+/* Run a tuple (post) or list (fused chain) entry: native kind handler
+ * first, Python callback otherwise, then the chain's continuation. */
+static int
+fire_post(WheelCore *self, PyObject *entry, int is_list, long long pos)
+{
+    PyObject *cb = is_list ? PyList_GET_ITEM(entry, 0)
+                           : PyTuple_GET_ITEM(entry, 0);
+    PyObject *cb_args = is_list ? PyList_GET_ITEM(entry, 1)
+                                : PyTuple_GET_ITEM(entry, 1);
+    int handled = native_dispatch(self, cb, cb_args);
+    if (handled < 0)
+        return -1;
+    if (!handled && call_callback(cb, cb_args) < 0)
+        return -1;
+    return is_list ? chain_continue(self, entry, pos) : 0;
 }
 
 static int
@@ -477,103 +444,176 @@ sanitizer_on_event(PyObject *sanitizer, long long when, long long prev)
 
 /* Dispatch every entry of one bucket list for cycle `pos`, picking up
  * same-cycle appends (list-iterator semantics: the size is re-read every
- * step).  Mirrors one `for entry in bucket:` loop of run_until.
- *
- * On success *dispatched_out has been advanced exactly as the pure loop
- * advances its local `dispatched`; *prev_io carries the sanitizer's
- * previous-dispatch clock across buckets.  Returns -1 on error. */
+ * step).  Mirrors the pure loops' per-entry body, including run()'s
+ * max_events guard when has_max is set.  *dispatched_io advances once
+ * per fired entry (also when a later one fails), *prev_io carries the
+ * sanitizer's previous-dispatch clock, and *index_out is the pure
+ * loop's `index` at exit.  Returns 0 on success, 1 if the guard tripped
+ * (error set, the walked prefix deleted), -1 on error. */
 static int
 dispatch_bucket(WheelCore *self, PyObject *bucket, long long pos,
-                long long horizon, PyObject *sanitizer,
-                long long *dispatched_out, long long *prev_io)
+                int has_max, long long max_events, PyObject *sanitizer,
+                long long *dispatched_io, long long *prev_io,
+                Py_ssize_t *index_out)
 {
-    long long skipped = 0;
-    long long count = 0;
     Py_ssize_t index = 0;
+    int rc = 0;
     while (index < PyList_GET_SIZE(bucket)) {
         PyObject *entry = PyList_GET_ITEM(bucket, index);
         Py_INCREF(entry);
-        index++;
-        if (PyTuple_CheckExact(entry)) {
-            if (sanitizer != NULL) {
-                if (sanitizer_on_event(sanitizer, pos, *prev_io) < 0)
-                    goto fail;
-                *prev_io = pos;
+        int is_tuple = PyTuple_CheckExact(entry);
+        int is_list = PyList_CheckExact(entry);
+        if (!is_tuple && !is_list) {
+            rc = event_cancelled(entry);
+            if (rc != 0) {
+                Py_DECREF(entry);
+                if (rc < 0)
+                    break;
+                rc = 0;
+                index++;
+                continue;
             }
-            int handled = native_dispatch(self, PyTuple_GET_ITEM(entry, 0),
-                                          PyTuple_GET_ITEM(entry, 1));
-            if (handled < 0)
-                goto fail;
-            if (!handled &&
-                call_callback(PyTuple_GET_ITEM(entry, 0),
-                              PyTuple_GET_ITEM(entry, 1)) < 0)
-                goto fail;
-            count++;
         }
-        else if (PyList_CheckExact(entry)) {
-            if (sanitizer != NULL) {
-                if (sanitizer_on_event(sanitizer, pos, *prev_io) < 0)
-                    goto fail;
-                *prev_io = pos;
+        if (has_max && *dispatched_io >= max_events) {
+            /* del entries[:index]; wheel_count -= index */
+            Py_DECREF(entry);
+            if (PyList_SetSlice(bucket, 0, index, NULL) < 0) {
+                rc = -1;
+                break;
             }
-            int handled = native_dispatch(self, PyList_GET_ITEM(entry, 0),
-                                          PyList_GET_ITEM(entry, 1));
-            if (handled < 0)
-                goto fail;
-            if (!handled &&
-                call_callback(PyList_GET_ITEM(entry, 0),
-                              PyList_GET_ITEM(entry, 1)) < 0)
-                goto fail;
-            if (chain_continue(self, entry, pos, horizon) < 0)
-                goto fail;
-            count++;
+            self->wheel_count -= index;
+            PyErr_Format(g_sim_error ? g_sim_error : PyExc_RuntimeError,
+                         "exceeded max_events=%lld", max_events);
+            rc = 1;
+            break;
         }
-        else {
-            if (sanitizer != NULL) {
-                /* sanitized loop checks `cancelled` before on_event */
-                PyObject *flag = PyObject_GetAttr(entry, s_cancelled);
-                if (flag == NULL)
-                    goto fail;
-                int cancelled = PyObject_IsTrue(flag);
-                Py_DECREF(flag);
-                if (cancelled < 0)
-                    goto fail;
-                if (cancelled) {
-                    Py_DECREF(entry);
-                    continue;
-                }
-                if (sanitizer_on_event(sanitizer, pos, *prev_io) < 0)
-                    goto fail;
-                *prev_io = pos;
-            }
-            int fired = dispatch_event(entry);
-            if (fired < 0)
-                goto fail;
-            if (fired) {
-                /* Event entries have no kind tag: always a miss */
-                self->fastpath_misses += 1;
-                g_fp_misses += 1;
-                count++;
-            }
-            else
-                skipped++;
+        if (sanitizer != NULL) {
+            rc = sanitizer_on_event(sanitizer, pos, *prev_io);
+            *prev_io = pos;
         }
+        if (rc == 0)
+            rc = (is_tuple || is_list) ? fire_post(self, entry, is_list, pos)
+                                       : fire_event(self, entry);
         Py_DECREF(entry);
+        if (rc < 0)
+            break;
+        *dispatched_io += 1;
+        index++;
     }
-    /* settle per bucket, matching `dispatched += len(bucket) - skipped`
-     * (the final length covers same-cycle appends; every appended entry
-     * was also dispatched by the loop above) */
-    if (sanitizer == NULL)
-        *dispatched_out += PyList_GET_SIZE(bucket) - skipped;
+    *index_out = index;
+    return rc;
+}
+
+/* Both passes of cycle `pos`: the ordinary bucket, then the late bucket
+ * swapped into the ordinary slot so zero-delay posts made by late
+ * callbacks land in the list being walked.  As in the pure loops, a
+ * guard trip restores the slot and an error leaves it swapped.  Returns
+ * 0, or -1 with an error set. */
+static int
+dispatch_cycle(WheelCore *self, PyObject *wheel, PyObject *late_wheel,
+               long long pos, int has_max, long long max_events,
+               PyObject *sanitizer, long long *dispatched_io)
+{
+    Py_ssize_t slot = (Py_ssize_t)(pos & WHEEL_MASK);
+    PyObject *bucket = PyList_GET_ITEM(wheel, slot);
+    long long prev = self->now;
+    Py_ssize_t index;
+    self->now = pos;
+    if (dispatch_bucket(self, bucket, pos, has_max, max_events, sanitizer,
+                        dispatched_io, &prev, &index) != 0)
+        return -1;
+    self->wheel_count -= index;
+    if (PyList_SetSlice(bucket, 0, PyList_GET_SIZE(bucket), NULL) < 0)
+        return -1;
+    PyObject *late = PyList_GET_ITEM(late_wheel, slot);
+    if (PyList_GET_SIZE(late) == 0)
+        return 0;
+    Py_INCREF(bucket); /* keep alive across the swap */
+    Py_INCREF(late);
+    PyList_SetItem(wheel, slot, late); /* steals; drops the slot's bucket */
+    int rc = dispatch_bucket(self, late, pos, has_max, max_events, sanitizer,
+                             dispatched_io, &prev, &index);
+    if (rc == 0) {
+        self->wheel_count -= index;
+        rc = PyList_SetSlice(late, 0, PyList_GET_SIZE(late), NULL);
+    }
+    if (rc >= 0)
+        PyList_SetItem(wheel, slot, bucket); /* steals; drops late */
     else
-        *dispatched_out += count;
-    return 0;
-fail:
-    /* the pure loop's per-entry `dispatched += 1` settlement is what the
-     * finally block sees on an exception: entries fully dispatched before
-     * the failing one still count */
-    *dispatched_out += count;
-    return -1;
+        Py_DECREF(bucket);
+    return rc == 0 ? 0 : -1;
+}
+
+/* The loop behind run_until (deadline) and run (deadline NEVER_LL and
+ * an optional max_events guard): walks the window cycle by cycle as the
+ * pure loops do, then settles the counters as their finally blocks do.
+ * Returns 0, or -1 with an error set. */
+static int
+wheel_loop(WheelCore *self, long long deadline, int has_max,
+           long long max_events, long long *dispatched_out)
+{
+    if (check_state(self) < 0)
+        return -1;
+    PyObject *wheel = self->wheel;
+    PyObject *late_wheel = self->wheel_late;
+    PyObject *sanitizer =
+        (self->sanitizer == NULL || self->sanitizer == Py_None)
+            ? NULL
+            : self->sanitizer;
+    /* The pure loops bind these as locals for the whole call; keep them
+     * alive across callbacks the same way. */
+    Py_INCREF(wheel);
+    Py_INCREF(late_wheel);
+    Py_XINCREF(sanitizer);
+
+    long long dispatched = 0;
+    long long pos = self->wheel_pos;
+    long long next_refill;
+    int rc = -1;
+
+    if (core_slide(self, pos, &next_refill) < 0)
+        goto settle;
+    while (pos <= deadline) {
+        if (pos >= next_refill && core_slide(self, pos, &next_refill) < 0)
+            goto settle;
+        Py_ssize_t slot = (Py_ssize_t)(pos & WHEEL_MASK);
+        if (PyList_GET_SIZE(PyList_GET_ITEM(wheel, slot)) == 0 &&
+            PyList_GET_SIZE(PyList_GET_ITEM(late_wheel, slot)) == 0) {
+            if (self->wheel_count) {
+                pos += 1;
+                continue;
+            }
+            long long head;
+            int has;
+            if (overflow_head(self->overflow, &head, &has) < 0)
+                goto settle;
+            if (!has || head > deadline)
+                break;
+            /* wheel empty: jump straight to the overflow head */
+            pos = head;
+            continue;
+        }
+        self->wheel_pos = pos;
+        self->horizon = pos + WHEEL_SIZE;
+        if (dispatch_cycle(self, wheel, late_wheel, pos, has_max, max_events,
+                           sanitizer, &dispatched) < 0)
+            goto settle;
+        pos += 1;
+        /* callbacks may have pushed new far-future work */
+        if (next_refill_of(self, &next_refill) < 0)
+            goto settle;
+    }
+    rc = 0;
+
+settle:
+    self->live -= dispatched;
+    self->dispatched += dispatched;
+    g_dispatched_total += dispatched;
+    Py_DECREF(wheel);
+    Py_DECREF(late_wheel);
+    Py_XDECREF(sanitizer);
+    *dispatched_out = dispatched;
+    return rc;
 }
 
 static PyObject *
@@ -594,270 +634,15 @@ WheelCore_run_until(WheelCore *self, PyObject *arg)
         if (rc < 0)
             return NULL;
     }
-    if (check_state(self) < 0)
-        return NULL;
-
-    PyObject *wheel = self->wheel;
-    PyObject *late_wheel = self->wheel_late;
-    PyObject *overflow = self->overflow;
-    PyObject *sanitizer =
-        (self->sanitizer == NULL || self->sanitizer == Py_None)
-            ? NULL
-            : self->sanitizer;
-    /* The pure loop binds these as locals for the whole call; keep them
-     * alive across callbacks the same way. */
-    Py_INCREF(wheel);
-    Py_INCREF(late_wheel);
-    Py_INCREF(overflow);
-    Py_XINCREF(sanitizer);
-
-    long long dispatched = 0;
-    long long pos = self->wheel_pos;
-    int failed = 0;
-
-    if (core_refill(self) < 0) {
-        failed = 1;
-        goto settle;
-    }
-    long long next_refill = NEVER_LL;
-    {
-        long long head;
-        int has;
-        if (overflow_head(overflow, &head, &has) < 0) {
-            failed = 1;
-            goto settle;
-        }
-        next_refill = has ? head - WHEEL_SIZE + 1 : NEVER_LL;
-    }
-
-    while (pos <= deadline) {
-        Py_ssize_t slot = (Py_ssize_t)(pos & WHEEL_MASK);
-        PyObject *bucket = PyList_GET_ITEM(wheel, slot);
-        if (PyList_GET_SIZE(bucket) == 0 &&
-            PyList_GET_SIZE(PyList_GET_ITEM(late_wheel, slot)) == 0) {
-            if (self->wheel_count) {
-                pos += 1;
-                if (pos >= next_refill) {
-                    self->wheel_pos = pos;
-                    self->horizon = pos + WHEEL_SIZE;
-                    if (core_refill(self) < 0) {
-                        failed = 1;
-                        goto settle;
-                    }
-                    long long head;
-                    int has;
-                    if (overflow_head(overflow, &head, &has) < 0) {
-                        failed = 1;
-                        goto settle;
-                    }
-                    next_refill = has ? head - WHEEL_SIZE + 1 : NEVER_LL;
-                }
-                continue;
-            }
-            long long head;
-            int has;
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (!has || head > deadline)
-                break;
-            /* wheel empty: jump straight to the overflow head */
-            pos = head;
-            self->wheel_pos = pos;
-            self->horizon = pos + WHEEL_SIZE;
-            if (core_refill(self) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            next_refill = has ? head - WHEEL_SIZE + 1 : NEVER_LL;
-            continue;
-        }
-        /* ---- dispatch every entry at cycle `pos` ---- */
-        self->wheel_pos = pos;
-        long long horizon = pos + WHEEL_SIZE;
-        self->horizon = horizon;
-        long long prev = self->now;
-        self->now = pos;
-        if (dispatch_bucket(self, bucket, pos, horizon, sanitizer,
-                            &dispatched, &prev) < 0) {
-            failed = 1;
-            goto settle;
-        }
-        self->wheel_count -= PyList_GET_SIZE(bucket);
-        if (PyList_SetSlice(bucket, 0, PyList_GET_SIZE(bucket), NULL) < 0) {
-            failed = 1;
-            goto settle;
-        }
-        PyObject *late = PyList_GET_ITEM(late_wheel, slot);
-        if (PyList_GET_SIZE(late) != 0) {
-            /* ---- late phase: slot-swap so zero-delay posts made by
-             * late callbacks land in the list being iterated ---- */
-            Py_INCREF(late);   /* working reference */
-            Py_INCREF(bucket); /* keep alive across the swap */
-            Py_INCREF(late);
-            PyList_SetItem(wheel, slot, late); /* steals; drops bucket */
-            if (dispatch_bucket(self, late, pos, horizon, sanitizer,
-                                &dispatched, &prev) < 0) {
-                /* mirror pure control flow: the finally block does not
-                 * restore the swapped slot on an exception */
-                Py_DECREF(late);
-                Py_DECREF(bucket);
-                failed = 1;
-                goto settle;
-            }
-            self->wheel_count -= PyList_GET_SIZE(late);
-            if (PyList_SetSlice(late, 0, PyList_GET_SIZE(late), NULL) < 0) {
-                Py_DECREF(late);
-                Py_DECREF(bucket);
-                failed = 1;
-                goto settle;
-            }
-            PyList_SetItem(wheel, slot, bucket); /* steals; drops late */
-            Py_DECREF(late);
-        }
-        pos += 1;
-        /* callbacks may have pushed new far-future work */
-        long long head;
-        int has;
-        if (overflow_head(overflow, &head, &has) < 0) {
-            failed = 1;
-            goto settle;
-        }
-        next_refill = has ? head - WHEEL_SIZE + 1 : NEVER_LL;
-        if (pos >= next_refill) {
-            self->wheel_pos = pos;
-            self->horizon = pos + WHEEL_SIZE;
-            if (core_refill(self) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            next_refill = has ? head - WHEEL_SIZE + 1 : NEVER_LL;
-        }
-    }
-
-settle:
-    /* the pure loop's finally block */
-    self->live -= dispatched;
-    self->dispatched += dispatched;
-    g_dispatched_total += dispatched;
-    Py_DECREF(wheel);
-    Py_DECREF(late_wheel);
-    Py_DECREF(overflow);
-    Py_XDECREF(sanitizer);
-    if (failed)
+    long long dispatched, next_refill;
+    if (wheel_loop(self, deadline, 0, 0, &dispatched) < 0)
         return NULL;
     if (self->now < deadline)
         self->now = deadline;
-    if (self->wheel_pos < deadline) {
-        self->wheel_pos = deadline;
-        self->horizon = deadline + WHEEL_SIZE;
-    }
+    if (self->wheel_pos < deadline &&
+        core_slide(self, deadline, &next_refill) < 0)
+        return NULL;
     Py_RETURN_NONE;
-}
-
-/* One index-based bucket walk of run(): mirrors the pure `while index <
- * len(bucket)` loop including the max_events guard.  Returns 0 on
- * success, 1 if the guard tripped (error already set), -1 on error.
- * *index_out is the pure loop's `index` at exit (for the `del
- * bucket[:index]` / wheel_count settlement the caller performs). */
-static int
-run_bucket(WheelCore *self, PyObject *bucket, long long pos,
-           int has_max, long long max_events, PyObject *sanitizer,
-           long long *dispatched_io, Py_ssize_t *index_out)
-{
-    Py_ssize_t index = 0;
-    while (index < PyList_GET_SIZE(bucket)) {
-        PyObject *entry = PyList_GET_ITEM(bucket, index);
-        Py_INCREF(entry);
-        int is_tuple = PyTuple_CheckExact(entry);
-        int is_list = PyList_CheckExact(entry);
-        int is_event = !is_tuple && !is_list;
-        if (is_event) {
-            PyObject *flag = PyObject_GetAttr(entry, s_cancelled);
-            if (flag == NULL)
-                goto fail;
-            int cancelled = PyObject_IsTrue(flag);
-            Py_DECREF(flag);
-            if (cancelled < 0)
-                goto fail;
-            if (cancelled) {
-                Py_DECREF(entry);
-                index++;
-                continue;
-            }
-        }
-        if (has_max && *dispatched_io >= max_events) {
-            /* del bucket[:index]; wheel_count -= index; clock at pos */
-            if (PyList_SetSlice(bucket, 0, index, NULL) < 0)
-                goto fail;
-            self->wheel_count -= index;
-            self->now = pos;
-            PyErr_Format(g_sim_error ? g_sim_error : PyExc_RuntimeError,
-                         "exceeded max_events=%lld", max_events);
-            Py_DECREF(entry);
-            *index_out = index;
-            return 1;
-        }
-        if (sanitizer != NULL) {
-            if (sanitizer_on_event(sanitizer, pos, self->now) < 0)
-                goto fail;
-        }
-        self->now = pos;
-        if (is_event) {
-            if (PyObject_SetAttr(entry, s_fired, Py_True) < 0)
-                goto fail;
-            PyObject *callback = PyObject_GetAttr(entry, s_callback);
-            if (callback == NULL)
-                goto fail;
-            PyObject *cb_args = PyObject_GetAttr(entry, s_args);
-            if (cb_args == NULL) {
-                Py_DECREF(callback);
-                goto fail;
-            }
-            int rc = call_callback(callback, cb_args);
-            Py_DECREF(callback);
-            Py_DECREF(cb_args);
-            if (rc < 0)
-                goto fail;
-            /* Event entries have no kind tag: always a miss */
-            self->fastpath_misses += 1;
-            g_fp_misses += 1;
-        }
-        else {
-            PyObject *cb = is_tuple ? PyTuple_GET_ITEM(entry, 0)
-                                    : PyList_GET_ITEM(entry, 0);
-            PyObject *cb_args = is_tuple ? PyTuple_GET_ITEM(entry, 1)
-                                         : PyList_GET_ITEM(entry, 1);
-            int handled = native_dispatch(self, cb, cb_args);
-            if (handled < 0)
-                goto fail;
-            if (!handled && call_callback(cb, cb_args) < 0)
-                goto fail;
-            if (is_list) {
-                if (chain_continue(self, entry, pos, self->horizon) < 0)
-                    goto fail;
-            }
-        }
-        *dispatched_io += 1;
-        index++;
-        Py_DECREF(entry);
-        continue;
-    fail:
-        Py_DECREF(entry);
-        *index_out = index;
-        return -1;
-    }
-    *index_out = index;
-    return 0;
 }
 
 static PyObject *
@@ -871,128 +656,8 @@ WheelCore_run(WheelCore *self, PyObject *args, PyObject *kwargs)
     long long max_events = 0;
     if (has_max && ll_from(max_obj, &max_events) < 0)
         return NULL;
-    if (check_state(self) < 0)
-        return NULL;
-
-    PyObject *wheel = self->wheel;
-    PyObject *late_wheel = self->wheel_late;
-    PyObject *overflow = self->overflow;
-    PyObject *sanitizer =
-        (self->sanitizer == NULL || self->sanitizer == Py_None)
-            ? NULL
-            : self->sanitizer;
-    Py_INCREF(wheel);
-    Py_INCREF(late_wheel);
-    Py_INCREF(overflow);
-    Py_XINCREF(sanitizer);
-
-    long long dispatched = 0;
-    long long pos = self->wheel_pos;
-    int failed = 0;
-
-    if (core_refill(self) < 0) {
-        failed = 1;
-        goto settle;
-    }
-    for (;;) {
-        if (self->wheel_count == 0) {
-            long long head;
-            int has;
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (!has)
-                break;
-            pos = head;
-            self->wheel_pos = pos;
-            self->horizon = pos + WHEEL_SIZE;
-            if (core_refill(self) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            continue;
-        }
-        Py_ssize_t slot = (Py_ssize_t)(pos & WHEEL_MASK);
-        PyObject *bucket = PyList_GET_ITEM(wheel, slot);
-        if (PyList_GET_SIZE(bucket) == 0 &&
-            PyList_GET_SIZE(PyList_GET_ITEM(late_wheel, slot)) == 0) {
-            pos += 1;
-            long long head;
-            int has;
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (has && head - WHEEL_SIZE + 1 <= pos) {
-                self->wheel_pos = pos;
-                self->horizon = pos + WHEEL_SIZE;
-                if (core_refill(self) < 0) {
-                    failed = 1;
-                    goto settle;
-                }
-            }
-            continue;
-        }
-        self->wheel_pos = pos;
-        self->horizon = pos + WHEEL_SIZE;
-        Py_ssize_t index = 0;
-        int rc = run_bucket(self, bucket, pos, has_max, max_events,
-                            sanitizer, &dispatched, &index);
-        if (rc != 0) {
-            failed = 1;
-            goto settle;
-        }
-        self->wheel_count -= index;
-        if (PyList_SetSlice(bucket, 0, PyList_GET_SIZE(bucket), NULL) < 0) {
-            failed = 1;
-            goto settle;
-        }
-        PyObject *late = PyList_GET_ITEM(late_wheel, slot);
-        if (PyList_GET_SIZE(late) != 0) {
-            /* late phase: same slot-swap as run_until */
-            Py_INCREF(late);
-            Py_INCREF(bucket);
-            Py_INCREF(late);
-            PyList_SetItem(wheel, slot, late);
-            rc = run_bucket(self, late, pos, has_max, max_events,
-                            sanitizer, &dispatched, &index);
-            if (rc != 0) {
-                if (rc == 1) {
-                    /* guard trip restores the ordinary slot (pure code
-                     * reassigns wheel[pos & mask] = bucket before raising) */
-                    PyList_SetItem(wheel, slot, bucket); /* steals */
-                    Py_DECREF(late);
-                }
-                else {
-                    Py_DECREF(late);
-                    Py_DECREF(bucket);
-                }
-                failed = 1;
-                goto settle;
-            }
-            self->wheel_count -= index;
-            if (PyList_SetSlice(late, 0, PyList_GET_SIZE(late), NULL) < 0) {
-                Py_DECREF(late);
-                Py_DECREF(bucket);
-                failed = 1;
-                goto settle;
-            }
-            PyList_SetItem(wheel, slot, bucket); /* steals; drops late */
-            Py_DECREF(late);
-        }
-        pos += 1;
-    }
-
-settle:
-    self->live -= dispatched;
-    self->dispatched += dispatched;
-    g_dispatched_total += dispatched;
-    Py_DECREF(wheel);
-    Py_DECREF(late_wheel);
-    Py_DECREF(overflow);
-    Py_XDECREF(sanitizer);
-    if (failed)
+    long long dispatched;
+    if (wheel_loop(self, NEVER_LL, has_max, max_events, &dispatched) < 0)
         return NULL;
     return PyLong_FromLongLong(dispatched);
 }
@@ -1463,54 +1128,6 @@ bisect_left_ll(PyObject *list, long long value)
             hi = mid;
     }
     return lo;
-}
-
-/* Engine.post_at's body for a pre-validated int `when` >= _now and a
- * ready-made entry (borrowed).  Also the exact tail of post_chain_at
- * and of the inlined wheel inserts in controller.py: same end state
- * (live/wheel_count/seq, bucket append vs heap push). */
-static int
-core_post_entry(WheelCore *self, long long when, PyObject *entry)
-{
-    self->live += 1;
-    if (when < self->horizon) {
-        PyObject *bucket =
-            PyList_GET_ITEM(self->wheel, (Py_ssize_t)(when & WHEEL_MASK));
-        if (!PyList_Check(bucket)) {
-            PyErr_SetString(PyExc_TypeError, "wheel bucket is not a list");
-            return -1;
-        }
-        if (PyList_Append(bucket, entry) < 0)
-            return -1;
-        self->wheel_count += 1;
-        return 0;
-    }
-    long long seq = self->seq;
-    self->seq = seq + 1;
-    PyObject *when_obj = PyLong_FromLongLong(when);
-    PyObject *seq_obj = PyLong_FromLongLong(seq);
-    PyObject *item = NULL;
-    if (when_obj != NULL && seq_obj != NULL)
-        item = PyTuple_Pack(3, when_obj, seq_obj, entry);
-    Py_XDECREF(when_obj);
-    Py_XDECREF(seq_obj);
-    if (item == NULL)
-        return -1;
-    int rc = heap_push(self->overflow, item);
-    Py_DECREF(item);
-    return rc;
-}
-
-static int
-core_post_call(WheelCore *self, long long when, PyObject *callback,
-               PyObject *args)
-{
-    PyObject *entry = PyTuple_Pack(2, callback, args);
-    if (entry == NULL)
-        return -1;
-    int rc = core_post_entry(self, when, entry);
-    Py_DECREF(entry);
-    return rc;
 }
 
 /* Engine.post_late_at's body for an int `when` >= _now. */
@@ -2762,28 +2379,13 @@ ctrl_issue(WheelCore *self, PyObject *owner, CtrlState *st, PyObject *req)
                            : PyObject_GetAttr(owner, s_complete_name);
         if (cb == NULL)
             goto fail_row;
-        PyObject *inner = PyTuple_Pack(1, req);
-        if (inner == NULL) {
+        PyObject *cb_args = PyTuple_Pack(1, req);
+        if (cb_args == NULL) {
             Py_DECREF(cb);
             goto fail_row;
         }
-        int rc;
-        if (data_end < self->horizon) {
-            rc = core_post_call(self, data_end, cb, inner);
-        } else {
-            /* engine.post_at(data_end, self._complete, (req,)) passes
-             * the tuple through *args, so the stored args are ((req,),)
-             * — mirror the quirk, don't fix it */
-            PyObject *outer = PyTuple_Pack(1, inner);
-            if (outer == NULL) {
-                Py_DECREF(inner);
-                Py_DECREF(cb);
-                goto fail_row;
-            }
-            rc = core_post_call(self, data_end, cb, outer);
-            Py_DECREF(outer);
-        }
-        Py_DECREF(inner);
+        int rc = core_post_call(self, data_end, cb, cb_args);
+        Py_DECREF(cb_args);
         Py_DECREF(cb);
         if (rc < 0)
             goto fail_row;
@@ -4256,6 +3858,14 @@ intern_all(void)
         g_shadow_arb[n++] = s_on_accept;
         g_shadow_arb_n = n;
     }
+    PyObject *heapq = PyImport_ImportModule("heapq");
+    if (heapq == NULL)
+        return -1;
+    g_heappush = PyObject_GetAttrString(heapq, "heappush");
+    g_heappop = PyObject_GetAttrString(heapq, "heappop");
+    Py_DECREF(heapq);
+    if (g_heappush == NULL || g_heappop == NULL)
+        return -1;
     g_empty_tuple = PyTuple_New(0);
     g_zero = PyLong_FromLong(0);
     g_one = PyLong_FromLong(1);

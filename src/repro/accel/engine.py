@@ -5,9 +5,9 @@ integer clock/counters as C ``long long`` fields and the wheel/overflow
 containers as ordinary Python lists — and exposes every field under the
 pure class's attribute names via member descriptors.  That makes the two
 backends *attribute-compatible*: the pure scheduling entry points
-(``schedule``/``post``/``post_chain_at``/...), the sanitizer, and the
-inlined wheel inserts in ``system.py``/``controller.py`` all run
-unchanged against either class.
+(``schedule``/``post``/``post_chain_at``/...) and the sanitizer run
+unchanged against either class, and model code schedules only through
+those entry points.
 
 Only the dispatch loops differ, so this module borrows the pure methods
 wholesale instead of re-implementing them: the scheduling surface *is*
@@ -53,9 +53,8 @@ def _build_wheel_class(core) -> type:
 
         # Scheduling surface, properties, and coercion helpers: the pure
         # implementations verbatim, operating on C-backed attributes.
-        # (heapq pushes from these methods and pushes from the compiled
-        # loops produce identical heap layouts — the C side replicates
-        # heapq's sift algorithm over the same list.)
+        # (The compiled loops push onto and pop from the same overflow
+        # list through heapq itself.)
         now = pure_wheel.now
         pending_events = pure_wheel.pending_events
         live_events = pure_wheel.live_events
@@ -69,7 +68,7 @@ def _build_wheel_class(core) -> type:
         post_chain_at = pure_wheel.post_chain_at
         post_late_at = pure_wheel.post_late_at
         advance_clock = pure_wheel.advance_clock
-        _refill = pure_wheel._refill
+        _slide = pure_wheel._slide
         # run_until / run are inherited from WheelCore: the compiled loops.
 
     return CTimingWheel

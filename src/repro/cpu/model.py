@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from repro.sim.engine import _WHEEL_MASK, Engine
+from repro.sim.engine import Engine
 from repro.sim.rng import Generator
 from repro.workloads.base import Access, Workload
 
@@ -111,18 +111,7 @@ class Core:
         self._current[context] = access
         gap = access.gap
         if gap > 0:
-            # inlined engine.post (this is the compute-gap path of every
-            # context advance; the call overhead is measurable at scale)
-            engine = self._engine
-            when = engine._now + gap
-            if when < engine._horizon:
-                engine._wheel[when & _WHEEL_MASK].append(
-                    (self._issue, (context, access))
-                )
-                engine._wheel_count += 1
-                engine._live += 1
-            else:
-                engine.post(gap, self._issue, context, access)
+            self._engine.post(gap, self._issue, context, access)
         else:
             self.accesses_issued += 1
             self._access_fn(self, access, self._done[context])

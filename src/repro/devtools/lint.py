@@ -38,12 +38,16 @@ PERF001   ``numpy`` and ``networkx`` may not be imported anywhere in the
           every process start-up time (numpy also ~15 MB resident) for
           work the package does not need.  (Tests may still use both as
           oracles.)
-PERF002   ``heapq`` may only be imported by ``sim/engine.py``.  The
-          timing-wheel scheduler keeps a heap solely for beyond-horizon
-          overflow entries; a separate priority queue anywhere else in
-          the package either duplicates event ordering outside the
-          engine's ``(when, seq)`` guarantee or reintroduces per-event
-          heap traffic the wheel exists to avoid.
+PERF002   ``heapq``, and the wheel layout constants (``_WHEEL_*``)
+          of ``repro.sim.engine``, may only be imported by
+          ``sim/engine.py``.  The timing-wheel scheduler keeps a heap
+          solely for beyond-horizon overflow entries; a separate
+          priority queue anywhere else in the package either duplicates
+          event ordering outside the engine's ``(when, seq)`` guarantee
+          or reintroduces per-event heap traffic the wheel exists to
+          avoid.  Code that needs the wheel's layout is code that writes
+          into its buckets; model code posts through the engine's
+          scheduling methods instead.
 PERF003   serialization modules (``pickle``, ``marshal``, ``shelve``,
           ``dill``) are banned from the package.  Everything the
           package persists (result cache, analysis cache, arena
@@ -512,7 +516,7 @@ class NoNumpyOrNetworkx(Rule):
 @register
 class HeapqOnlyInEngine(Rule):
     code = "PERF002"
-    summary = "heapq imports are confined to sim/engine.py"
+    summary = "heapq and the wheel layout are confined to sim/engine.py"
 
     #: The one module allowed to import heapq: the engine keeps a heap
     #: only for timing-wheel overflow entries beyond the horizon.
@@ -533,6 +537,16 @@ class HeapqOnlyInEngine(Rule):
             "the per-event heap traffic the wheel removes",
         )
 
+    def _absolute(self, node: ast.ImportFrom) -> str:
+        """The imported module's dotted name, relative imports resolved."""
+        if not node.level:
+            return node.module or ""
+        package = ["repro", *self.ctx.repro_parts[:-1]]
+        if node.level > len(package):
+            return ""
+        base = package[: len(package) - node.level + 1]
+        return ".".join([*base, node.module] if node.module else base)
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             if alias.name == "heapq" or alias.name.startswith("heapq."):
@@ -543,6 +557,17 @@ class HeapqOnlyInEngine(Rule):
         module = node.module or ""
         if module == "heapq" or module.startswith("heapq."):
             self._flag(node)
+        elif self._absolute(node) == "repro.sim.engine":
+            for alias in node.names:
+                if alias.name.startswith("_WHEEL_"):
+                    self.report(
+                        node,
+                        f"{alias.name} imported from repro.sim.engine outside "
+                        "sim/engine.py; the wheel's bucket layout is the "
+                        "engine's own state, so post through "
+                        "engine.post/post_at/post_chain_at/post_late_at "
+                        "instead of writing into its buckets",
+                    )
         self.generic_visit(node)
 
 

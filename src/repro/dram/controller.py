@@ -39,7 +39,7 @@ from repro.dram.bank import Bank
 from repro.dram.channel import DataBus
 from repro.dram.schedulers import FrFcfsPolicy, SchedulingPolicy
 from repro.dram.timing import PagePolicy
-from repro.sim.engine import _WHEEL_MASK, Engine
+from repro.sim.engine import Engine
 from repro.sim.records import MemoryRequest
 
 if TYPE_CHECKING:  # pragma: no cover - break the sim<->dram import cycle
@@ -244,17 +244,7 @@ class MemoryController:
         self._pass_at = when
         token = self._pass_token + 1
         self._pass_token = token
-        # inlined engine.post_at (the arm rate makes even the call overhead
-        # measurable); `when` is always an int >= engine._now here, and pass
-        # times are near-future, so the wheel-window fast path all but
-        # always takes — post_at handles the overflow remainder
-        engine = self._engine
-        if when < engine._horizon:
-            engine._wheel[when & _WHEEL_MASK].append((self._run_pass, (token,)))
-            engine._wheel_count += 1
-            engine._live += 1
-        else:
-            engine.post_at(when, self._run_pass, token)
+        self._engine.post_at(when, self._run_pass, token)
 
     def _run_pass(self, token: int) -> None:  # repro: hot-kernel; repro: native-kernel
         if token != self._pass_token:
@@ -432,14 +422,7 @@ class MemoryController:
                     (core, req),
                 )
                 return
-        # inlined engine.post_at; data_end is an int > now by construction
-        # and within the wheel window (bus backlog is queue-bounded)
-        if data_end < engine._horizon:
-            engine._wheel[data_end & _WHEEL_MASK].append((self._complete, (req,)))
-            engine._wheel_count += 1
-            engine._live += 1
-        else:
-            engine.post_at(data_end, self._complete, (req,))
+        engine.post_at(data_end, self._complete, req)
 
     def configure_read_fusion(
         self,
@@ -514,20 +497,10 @@ class MemoryController:
         if wake != _FAR:
             # inlined _request_pass: _run_pass cleared _pass_at, so the
             # coalescing early-out can never take — arm unconditionally
-            # (wheel insert inlined as in _request_pass; wake > now here)
-            when = wake
-            self._pass_at = when
+            self._pass_at = wake
             token = self._pass_token + 1
             self._pass_token = token
-            engine = self._engine
-            if when < engine._horizon:
-                engine._wheel[when & _WHEEL_MASK].append(
-                    (self._run_pass, (token,))
-                )
-                engine._wheel_count += 1
-                engine._live += 1
-            else:
-                engine.post_at(when, self._run_pass, token)
+            self._engine.post_at(wake, self._run_pass, token)
 
     def _notify_space(self) -> None:
         # Synchronous hint: listeners only set a flag and arm a late-phase

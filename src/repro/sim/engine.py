@@ -168,7 +168,12 @@ class TimingWheel:
       timestamps in the window map to distinct buckets and every bucket
       is single-timestamp;
     * ``_wheel_pos`` (and hence ``_horizon``) is non-decreasing — the
-      property the FIFO-vs-overflow ordering proof rests on;
+      property the FIFO-vs-overflow ordering proof rests on — and moves
+      only through :meth:`_slide`, which refills before anything else
+      can insert;
+    * between runs ``_wheel_pos == _now``, so a post at or after the
+      clock lands in the window or the overflow heap, never a wheel
+      turn ahead;
     * ``_wheel_count + len(_overflow)`` equals the queued entry count
       (cancelled events included until their bucket is dispatched),
       counting both the ordinary and the late bucket arrays.
@@ -408,31 +413,47 @@ class TimingWheel:
             )
         self._now = when
         if self._wheel_pos < when:
-            self._wheel_pos = when
-            self._horizon = when + _WHEEL_SIZE
-            self._refill()
+            self._slide(when)
 
-    def _refill(self) -> None:
-        """Move overflow entries now inside the window into their buckets.
+    def _slide(self, pos: int) -> int:
+        """Start the window at ``pos`` and refill it from the overflow heap.
 
-        Must be called every time the window advances far enough to cover
-        the overflow head — *before* any direct insert for those cycles
-        can happen, which preserves the overflow-first ordering argument.
+        The only way the window moves.  Overflow entries the new window
+        covers are popped in ``(when, seq)`` order and appended to their
+        buckets — *before* any direct insert for those cycles can happen,
+        which preserves the overflow-first ordering argument.  Returns the
+        first cycle at which the window would cover the remaining
+        overflow head (``_NEVER`` when the heap is empty): the dispatch
+        loops slide again once they reach it.
         """
+        horizon = pos + _WHEEL_SIZE
+        self._wheel_pos = pos
+        self._horizon = horizon
         overflow = self._overflow
-        horizon = self._horizon
         wheel = self._wheel
         moved = 0
-        heappop = heapq.heappop
         while overflow and overflow[0][0] < horizon:
-            entry = heappop(overflow)
+            entry = heapq.heappop(overflow)
             wheel[entry[0] & _WHEEL_MASK].append(entry[2])
             moved += 1
         self._wheel_count += moved
+        return overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    #
+    # Both loops walk the window one cycle at a time.  A cycle's entries
+    # dispatch in two passes over the same per-entry loop: the ordinary
+    # bucket, then the late bucket.  Before the late pass the late list
+    # is swapped into the ordinary slot, so zero-delay posts made by late
+    # callbacks land in the list being walked (the late slot aliases it
+    # too, so further post_late_at(now) calls are picked up as well).
+    # The list iterator picks up same-cycle appends in either pass.  A
+    # callback that raises leaves the slot swapped.  The window slides
+    # only at a cycle the loop is about to visit, never past the clock
+    # the run returns with.
+
     def run_until(self, deadline: int) -> None:  # repro: hot-kernel
         """Dispatch events with timestamp <= ``deadline``.
 
@@ -445,193 +466,60 @@ class TimingWheel:
         late_wheel = self._wheel_late
         overflow = self._overflow
         sanitizer = self.sanitizer
-        heappush = heapq.heappush
-        mask = _WHEEL_MASK
         dispatched = 0
         pos = self._wheel_pos
-        self._refill()
-        next_refill = overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
+        next_refill = self._slide(pos)
         try:
             while pos <= deadline:
-                bucket = wheel[pos & mask]
-                if not bucket and not late_wheel[pos & mask]:
+                if pos >= next_refill:
+                    next_refill = self._slide(pos)
+                slot = pos & _WHEEL_MASK
+                bucket = wheel[slot]
+                if not bucket and not late_wheel[slot]:
                     if self._wheel_count:
                         pos += 1
-                        if pos >= next_refill:
-                            self._wheel_pos = pos
-                            self._horizon = pos + _WHEEL_SIZE
-                            self._refill()
-                            next_refill = (
-                                overflow[0][0] - _WHEEL_SIZE + 1
-                                if overflow
-                                else _NEVER
-                            )
-                        continue
-                    if not overflow or overflow[0][0] > deadline:
+                    elif overflow and overflow[0][0] <= deadline:
+                        # wheel empty: jump straight to the overflow head
+                        pos = overflow[0][0]
+                    else:
                         break
-                    # wheel empty: jump straight to the overflow head
-                    pos = overflow[0][0]
-                    self._wheel_pos = pos
-                    self._horizon = pos + _WHEEL_SIZE
-                    self._refill()
-                    next_refill = (
-                        overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
-                    )
                     continue
-                # ---- dispatch every entry at cycle `pos` ----
                 self._wheel_pos = pos
-                horizon = pos + _WHEEL_SIZE
-                self._horizon = horizon
+                self._horizon = pos + _WHEEL_SIZE
                 prev = self._now
                 self._now = pos
-                if sanitizer is None:
-                    # The list iterator picks up same-cycle appends made
-                    # by the callbacks themselves (zero-delay posts).
-                    skipped = 0
-                    for entry in bucket:
-                        if type(entry) is tuple:
+                entries = bucket
+                while True:
+                    for entry in entries:
+                        kind = type(entry)
+                        if kind is not tuple and kind is not list and entry.cancelled:
+                            continue
+                        if sanitizer is not None:
+                            sanitizer.on_event(pos, prev)
+                            prev = pos
+                        if kind is tuple:
                             entry[0](*entry[1])
-                        elif type(entry) is list:
+                        elif kind is list:
                             entry[0](*entry[1])
-                            # fused chain: insert the continuation
-                            # exactly where a post() made here would land
-                            when2 = pos + entry[2]
-                            self._live += 1
-                            if when2 < horizon:
-                                wheel[when2 & mask].append(
-                                    (entry[3], entry[4])
-                                )
-                                self._wheel_count += 1
-                            else:
-                                seq = self._seq
-                                self._seq = seq + 1
-                                heappush(
-                                    overflow, (when2, seq, (entry[3], entry[4]))
-                                )
+                            # fused chain: the continuation lands exactly
+                            # where a post() made by the callback would
+                            self.post_at(pos + entry[2], entry[3], *entry[4])
                         else:
-                            if entry.cancelled:
-                                skipped += 1
-                                continue
-                            entry.fired = True
-                            entry.callback(*entry.args)
-                    # settle the counter per bucket, not per entry: the
-                    # final length covers same-cycle appends too
-                    dispatched += len(bucket) - skipped
-                else:
-                    for entry in bucket:
-                        if type(entry) is tuple:
-                            sanitizer.on_event(pos, prev)
-                            prev = pos
-                            entry[0](*entry[1])
-                        elif type(entry) is list:
-                            sanitizer.on_event(pos, prev)
-                            prev = pos
-                            entry[0](*entry[1])
-                            when2 = pos + entry[2]
-                            self._live += 1
-                            if when2 < horizon:
-                                wheel[when2 & mask].append(
-                                    (entry[3], entry[4])
-                                )
-                                self._wheel_count += 1
-                            else:
-                                seq = self._seq
-                                self._seq = seq + 1
-                                heappush(
-                                    overflow, (when2, seq, (entry[3], entry[4]))
-                                )
-                        else:
-                            if entry.cancelled:
-                                continue
-                            sanitizer.on_event(pos, prev)
-                            prev = pos
                             entry.fired = True
                             entry.callback(*entry.args)
                         dispatched += 1
-                self._wheel_count -= len(bucket)
-                bucket.clear()
-                late = late_wheel[pos & mask]
-                if late:
-                    # ---- late phase ----
-                    # Swap the (now empty) ordinary slot to the late list
-                    # so zero-delay posts made by late callbacks land in
-                    # the list being iterated instead of being lost; the
-                    # late slot itself aliases the same list, so further
-                    # post_late_at(now) calls are picked up too.
-                    wheel[pos & mask] = late
-                    if sanitizer is None:
-                        skipped = 0
-                        for entry in late:
-                            if type(entry) is tuple:
-                                entry[0](*entry[1])
-                            elif type(entry) is list:
-                                entry[0](*entry[1])
-                                when2 = pos + entry[2]
-                                self._live += 1
-                                if when2 < horizon:
-                                    wheel[when2 & mask].append(
-                                        (entry[3], entry[4])
-                                    )
-                                    self._wheel_count += 1
-                                else:
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    heappush(
-                                        overflow,
-                                        (when2, seq, (entry[3], entry[4])),
-                                    )
-                            else:
-                                if entry.cancelled:
-                                    skipped += 1
-                                    continue
-                                entry.fired = True
-                                entry.callback(*entry.args)
-                        dispatched += len(late) - skipped
-                    else:
-                        for entry in late:
-                            if type(entry) is tuple:
-                                sanitizer.on_event(pos, prev)
-                                prev = pos
-                                entry[0](*entry[1])
-                            elif type(entry) is list:
-                                sanitizer.on_event(pos, prev)
-                                prev = pos
-                                entry[0](*entry[1])
-                                when2 = pos + entry[2]
-                                self._live += 1
-                                if when2 < horizon:
-                                    wheel[when2 & mask].append(
-                                        (entry[3], entry[4])
-                                    )
-                                    self._wheel_count += 1
-                                else:
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    heappush(
-                                        overflow,
-                                        (when2, seq, (entry[3], entry[4])),
-                                    )
-                            else:
-                                if entry.cancelled:
-                                    continue
-                                sanitizer.on_event(pos, prev)
-                                prev = pos
-                                entry.fired = True
-                                entry.callback(*entry.args)
-                            dispatched += 1
-                    self._wheel_count -= len(late)
-                    late.clear()
-                    wheel[pos & mask] = bucket
+                    self._wheel_count -= len(entries)
+                    entries.clear()
+                    if entries is not bucket:
+                        wheel[slot] = bucket
+                        break
+                    entries = late_wheel[slot]
+                    if not entries:
+                        break
+                    wheel[slot] = entries
                 pos += 1
                 # callbacks may have pushed new far-future work
                 next_refill = overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
-                if pos >= next_refill:
-                    self._wheel_pos = pos
-                    self._horizon = pos + _WHEEL_SIZE
-                    self._refill()
-                    next_refill = (
-                        overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
-                    )
         finally:
             # cancelled entries already decremented _live in cancel(); the
             # dispatched ones are settled in one batch here
@@ -642,8 +530,7 @@ class TimingWheel:
         if self._now < deadline:
             self._now = deadline
         if self._wheel_pos < deadline:
-            self._wheel_pos = deadline
-            self._horizon = deadline + _WHEEL_SIZE
+            self._slide(deadline)
 
     def run(self, max_events: int | None = None) -> int:  # repro: hot-kernel
         """Dispatch events until the queue is empty.
@@ -659,117 +546,64 @@ class TimingWheel:
         sanitizer = self.sanitizer
         dispatched = 0
         pos = self._wheel_pos
-        self._refill()
+        next_refill = self._slide(pos)
         try:
             while True:
-                if self._wheel_count == 0:
-                    if not overflow:
+                if pos >= next_refill:
+                    next_refill = self._slide(pos)
+                slot = pos & _WHEEL_MASK
+                bucket = wheel[slot]
+                if not bucket and not late_wheel[slot]:
+                    if self._wheel_count:
+                        pos += 1
+                    elif overflow:
+                        pos = overflow[0][0]
+                    else:
                         break
-                    pos = overflow[0][0]
-                    self._wheel_pos = pos
-                    self._horizon = pos + _WHEEL_SIZE
-                    self._refill()
-                    continue
-                bucket = wheel[pos & _WHEEL_MASK]
-                if not bucket and not late_wheel[pos & _WHEEL_MASK]:
-                    pos += 1
-                    if overflow and overflow[0][0] - _WHEEL_SIZE + 1 <= pos:
-                        self._wheel_pos = pos
-                        self._horizon = pos + _WHEEL_SIZE
-                        self._refill()
                     continue
                 self._wheel_pos = pos
                 self._horizon = pos + _WHEEL_SIZE
-                index = 0
-                while index < len(bucket):
-                    entry = bucket[index]
-                    entry_type = type(entry)
-                    is_event = entry_type is not tuple and entry_type is not list
-                    if is_event and entry.cancelled:
-                        index += 1
-                        continue
-                    if max_events is not None and dispatched >= max_events:
-                        del bucket[:index]
-                        self._wheel_count -= index
-                        self._now = pos
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    if sanitizer is not None:
-                        sanitizer.on_event(pos, self._now)
-                    self._now = pos
-                    if is_event:
-                        entry.fired = True
-                        entry.callback(*entry.args)
-                    else:
-                        entry[0](*entry[1])
-                        if entry_type is list:
-                            when2 = pos + entry[2]
-                            self._live += 1
-                            if when2 < self._horizon:
-                                wheel[when2 & _WHEEL_MASK].append(
-                                    (entry[3], entry[4])
-                                )
-                                self._wheel_count += 1
-                            else:
-                                seq = self._seq
-                                self._seq = seq + 1
-                                heapq.heappush(
-                                    overflow, (when2, seq, (entry[3], entry[4]))
-                                )
-                    dispatched += 1
-                    index += 1
-                self._wheel_count -= index
-                bucket.clear()
-                late = late_wheel[pos & _WHEEL_MASK]
-                if late:
-                    # late phase: same slot-swap as run_until, so a late
-                    # callback's zero-delay posts land in the list being
-                    # walked instead of the cleared ordinary bucket
-                    wheel[pos & _WHEEL_MASK] = late
+                prev = self._now
+                self._now = pos
+                entries = bucket
+                while True:
+                    # indexed walk: a guard trip must know how far it got
                     index = 0
-                    while index < len(late):
-                        entry = late[index]
-                        entry_type = type(entry)
-                        is_event = entry_type is not tuple and entry_type is not list
-                        if is_event and entry.cancelled:
+                    while index < len(entries):
+                        entry = entries[index]
+                        kind = type(entry)
+                        if kind is not tuple and kind is not list and entry.cancelled:
                             index += 1
                             continue
                         if max_events is not None and dispatched >= max_events:
-                            del late[:index]
+                            del entries[:index]
                             self._wheel_count -= index
-                            self._now = pos
-                            wheel[pos & _WHEEL_MASK] = bucket
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}"
-                            )
+                            wheel[slot] = bucket
+                            raise SimulationError(f"exceeded max_events={max_events}")
                         if sanitizer is not None:
-                            sanitizer.on_event(pos, self._now)
-                        self._now = pos
-                        if is_event:
+                            sanitizer.on_event(pos, prev)
+                            prev = pos
+                        if kind is tuple:
+                            entry[0](*entry[1])
+                        elif kind is list:
+                            entry[0](*entry[1])
+                            self.post_at(pos + entry[2], entry[3], *entry[4])
+                        else:
                             entry.fired = True
                             entry.callback(*entry.args)
-                        else:
-                            entry[0](*entry[1])
-                            if entry_type is list:
-                                when2 = pos + entry[2]
-                                self._live += 1
-                                if when2 < self._horizon:
-                                    wheel[when2 & _WHEEL_MASK].append(
-                                        (entry[3], entry[4])
-                                    )
-                                    self._wheel_count += 1
-                                else:
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    heapq.heappush(
-                                        overflow,
-                                        (when2, seq, (entry[3], entry[4])),
-                                    )
                         dispatched += 1
                         index += 1
                     self._wheel_count -= index
-                    late.clear()
-                    wheel[pos & _WHEEL_MASK] = bucket
+                    entries.clear()
+                    if entries is not bucket:
+                        wheel[slot] = bucket
+                        break
+                    entries = late_wheel[slot]
+                    if not entries:
+                        break
+                    wheel[slot] = entries
                 pos += 1
+                next_refill = overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
         finally:
             self._live -= dispatched
             self.dispatched += dispatched

@@ -35,7 +35,6 @@ from repro.qos.classes import QoSRegistry
 from repro.qos.monitor import BandwidthMonitor
 from repro.sim.config import SystemConfig
 from repro.accel import make_engine
-from repro.sim.engine import _WHEEL_MASK
 from repro.sim.mechanism import QoSMechanism
 from repro.sim.records import AccessType, MemoryRequest
 from repro.sim.stats import Stats
@@ -81,8 +80,7 @@ class System:
         self.config = config
         self.registry = registry
         # backend factory: the pure Engine or its C-backed twin, per the
-        # process's active repro.accel selection (attribute-compatible,
-        # so the inlined wheel inserts below work against either)
+        # process's active repro.accel selection
         self.engine = make_engine(seed)
         if sanitize:
             # imported on request: a plain run never loads the checker
@@ -339,15 +337,7 @@ class System:
             else:
                 l2._policy.on_access(set_index, way)
             l2.hits += 1
-            # inlined engine.post: the L2-hit resume dominates event traffic
-            engine = self.engine
-            when = engine._now + self._l2_latency
-            if when < engine._horizon:
-                engine._wheel[when & _WHEEL_MASK].append((done, ()))
-                engine._wheel_count += 1
-                engine._live += 1
-            else:
-                engine.post(self._l2_latency, done)
+            self.engine.post(self._l2_latency, done)
             return
         outcome = self.hierarchy.access(
             core.core_id, addr, access.is_write, core.qos_id
@@ -400,28 +390,16 @@ class System:
         core_id = core.core_id
         slice_tile = outcome.l3_slice if outcome.l3_slice >= 0 else core_id
         if req.l3_hit:
-            when = engine._now + self._hit_delay[core_id][slice_tile]
-            if when < engine._horizon:
-                engine._wheel[when & _WHEEL_MASK].append(
-                    (self._enqueue_response, (core, req))
-                )
-                engine._wheel_count += 1
-                engine._live += 1
-            else:
-                engine.post_at(when, self._enqueue_response, core, req)
+            engine.post(
+                self._hit_delay[core_id][slice_tile], self._enqueue_response, core, req
+            )
             return
 
         # one decode stamps the full route (mc/bank/row) so the controller's
         # accept path never re-decodes the address
         _, mc_id, req.bank_id, req.row_id = self._decode(req.addr)
         req.mc_id = mc_id
-        when = engine._now + self._miss_delay[core_id][slice_tile][mc_id]
-        if when < engine._horizon:
-            engine._wheel[when & _WHEEL_MASK].append((self._deliver, (req,)))
-            engine._wheel_count += 1
-            engine._live += 1
-        else:
-            engine.post_at(when, self._deliver, req)
+        engine.post(self._miss_delay[core_id][slice_tile][mc_id], self._deliver, req)
         for writeback in outcome.mem_writebacks:
             self._send_writeback(core, writeback, slice_tile)
 

@@ -1,10 +1,11 @@
 """Parity properties: the compiled wheel against the pure reference.
 
-Reuses the heap-reference ``Driver`` machinery from the pure wheel's
-property test: random ``schedule``/``post``/``post_at``/``post_chain_at``
-/``cancel``/``run_until`` interleavings must produce identical dispatch
-logs, clocks, and live-event counts on the compiled engine — including
-the cancel-after-dispatch edge.
+Reuses the heap-reference machinery from the pure wheel's property
+test: random ``schedule``/``post``/``post_at``/``post_chain_at``/
+``post_late_at``/``cancel``/``run_until``/``run`` interleavings, with
+and without a sanitizer, must produce identical dispatch logs, clocks,
+and live-event counts on the compiled engine — including the
+cancel-after-dispatch edge and the window-movement cases.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from repro import accel
 from repro.sim.engine import SimulationError, _WHEEL_SIZE
 
-from tests.sim.test_wheel_property import _OPS, _SPAN, Driver, ReferenceEngine
+from tests.sim.test_wheel_property import _OPS, WINDOW_CASES, check_against_reference
 
 
 def _c_engine(seed: int = 0):
@@ -25,18 +26,19 @@ def _c_engine(seed: int = 0):
 @settings(max_examples=50, deadline=None)
 @given(ops=st.lists(_OPS, min_size=1, max_size=60))
 def test_c_wheel_matches_reference_heap(c_backend, ops):
-    wheel = Driver(_c_engine())
-    reference = Driver(ReferenceEngine())
-    for op in ops:
-        wheel.apply(op)
-        reference.apply(op)
-        assert wheel.host.live_events == reference.host.live_events
-    final = max(wheel.host.now + 4 * _SPAN, 8 * _SPAN)
-    wheel.host.run_until(final)
-    reference.host.run_until(final)
-    assert wheel.log == reference.log
-    assert wheel.host.now == reference.host.now
-    assert wheel.host.live_events == reference.host.live_events
+    check_against_reference(_c_engine(), ops, sanitize=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=st.lists(_OPS, min_size=1, max_size=60))
+def test_sanitized_c_wheel_matches_reference_heap(c_backend, ops):
+    check_against_reference(_c_engine(), ops, sanitize=True)
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_c_window_moves_keep_reference_order(c_backend, case, sanitize):
+    check_against_reference(_c_engine(), WINDOW_CASES[case], sanitize)
 
 
 def test_cancel_after_dispatch_is_settled_once(c_backend):
@@ -50,15 +52,24 @@ def test_cancel_after_dispatch_is_settled_once(c_backend):
     assert engine.live_events == 0
 
 
-@pytest.mark.parametrize("max_events", [10, 10_000])
+@pytest.mark.parametrize("max_events", [10, 11, 12, 10_000])
 def test_run_guard_parity(c_backend, max_events):
-    """``run(max_events=...)`` trips (or not) identically on both backends."""
+    """``run(max_events=...)`` trips (or not) identically on both backends.
+
+    Every tick arms two late entries in its own cycle, three events per
+    cycle, so the limits 10, 11 and 12 trip the guard at the start of a
+    late pass, in the middle of one, and at the next ordinary pass.
+    """
     outcomes = []
     for name in ("pure", "c"):
         with accel.backend(name):
             engine = accel.make_engine()
+        fired = []
 
-        def tick(remaining, engine=engine):
+        def tick(remaining, engine=engine, fired=fired):
+            fired.append(("tick", engine.now))
+            for phase in ("late-a", "late-b"):
+                engine.post_late_at(engine.now, fired.append, (phase, engine.now))
             if remaining:
                 engine.post(3, tick, remaining - 1)
 
@@ -71,8 +82,16 @@ def test_run_guard_parity(c_backend, max_events):
         except SimulationError as exc:
             count, error = None, str(exc)
         outcomes.append(
-            (count, error, engine.now, engine.live_events, engine.dispatched)
+            (
+                count,
+                error,
+                engine.now,
+                engine.live_events,
+                engine.pending_events,
+                engine.dispatched,
+                fired,
+            )
         )
     assert outcomes[0] == outcomes[1]
-    if max_events == 10:
+    if max_events < 100:
         assert "max_events" in (outcomes[0][1] or "")

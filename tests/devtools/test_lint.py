@@ -240,6 +240,35 @@ class TestPerf002HeapqConfinement:
     def test_noqa_suppresses(self):
         assert codes("import heapq  # repro: noqa[PERF002]\n") == []
 
+    def test_wheel_layout_import_fires(self):
+        source = "from repro.sim.engine import _WHEEL_MASK, Engine\n"
+        assert codes(source, REPRO_PATH) == ["PERF002"]
+
+    def test_relative_wheel_layout_import_fires(self):
+        assert codes("from .engine import _WHEEL_SIZE\n") == ["PERF002"]
+        source = "from ..sim.engine import _WHEEL_BITS\n"
+        assert codes(source, "src/repro/dram/controller.py") == ["PERF002"]
+
+    def test_each_wheel_layout_name_is_flagged(self):
+        source = "from repro.sim.engine import _WHEEL_BITS, _WHEEL_SIZE\n"
+        assert [d.message.split()[0] for d in lint_source(source, REPRO_PATH)] == [
+            "_WHEEL_BITS",
+            "_WHEEL_SIZE",
+        ]
+
+    def test_engine_module_may_use_its_layout(self):
+        source = "from repro.sim.engine import _WHEEL_MASK\n"
+        assert codes(source, "src/repro/sim/engine.py") == []
+
+    def test_other_engine_names_ok(self):
+        source = "from repro.sim.engine import Engine, SimulationError\n"
+        assert codes(source, REPRO_PATH) == []
+        assert codes("from .engine import Engine\n") == []
+
+    def test_wheel_layout_in_tests_is_out_of_scope(self):
+        source = "from repro.sim.engine import _WHEEL_SIZE\n"
+        assert codes(source, TEST_PATH) == []
+
 
 class TestPerf003SerializationConfinement:
     def test_pickle_import_in_sim_module_fires(self):

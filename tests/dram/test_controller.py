@@ -1,7 +1,10 @@
 """Unit tests for the memory controller."""
 
+import dataclasses
+
 import pytest
 
+from repro import accel
 from repro.dram.controller import MemoryController
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
@@ -140,6 +143,35 @@ class TestWriteHandling:
         mc.try_enqueue(read)
         engine.run()
         assert read.issued_at <= write.issued_at
+
+
+class TestCompletionBeyondWheelWindow:
+    @pytest.mark.parametrize("backend", ["pure", "c"])
+    def test_slow_closed_page_write_completes(self, backend):
+        """Prep plus burst longer than the 4096-cycle wheel window.
+
+        The Fig. 11 baseline slows DRAM N times to emulate a hard 1/N
+        reservation; from a 61x slowdown on, a closed-page write's
+        completion lands beyond the window and takes the engine's
+        overflow path, which must hand ``_complete`` the request itself.
+        """
+        if backend == "c":
+            try:
+                accel.resolve_backend("c")
+            except accel.AccelUnavailable as exc:
+                pytest.skip(f"compiled backend unavailable: {exc}")
+        base = SystemConfig.small_test()
+        config = dataclasses.replace(base, dram=base.dram.frequency_scaled(61))
+        with accel.backend(backend):
+            engine = accel.make_engine(0)
+            stats = Stats()
+            address_map = AddressMap(config, num_slices=config.cores)
+            mc = MemoryController(engine, 0, config, address_map, stats)
+        req = write_req(0x40)
+        assert mc.try_enqueue(req)
+        engine.run()
+        assert req.completed_at == 4148
+        assert stats.class_stats(0).writes_completed == 1
 
 
 class TestOccupancySampling:
