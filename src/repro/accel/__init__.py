@@ -18,10 +18,10 @@ Selection is process-global and explicit: the library default is
 CLI verbs take ``--backend={pure,c,auto}``, and tests use the
 :func:`backend` context manager.  ``auto`` resolves to ``c`` only when a
 prebuilt extension for this exact source+ABI already exists — it never
-compiles implicitly — so a tree without a toolchain degrades to ``pure``
-silently and correctly.  ``c`` builds on demand and raises
-:class:`AccelUnavailable` (with the compiler diagnostics) when it
-cannot, so an explicit request is never silently downgraded.
+compiles implicitly — so a tree without a toolchain degrades to ``pure``,
+counted as an ``accel.auto_fallback`` warning.  ``c`` builds on demand
+and raises :class:`AccelUnavailable` (with the compiler diagnostics)
+when it cannot, so an explicit request is never silently downgraded.
 
 The selected backend applies to engines built *after* selection;
 existing systems keep the backend they were built with.  Wheel state
@@ -94,7 +94,8 @@ def resolve_backend(name: str) -> str:
 
     ``"c"`` loads the extension, building it if needed, and raises
     :class:`AccelUnavailable` when it cannot.  ``"auto"`` tries a
-    prebuilt extension and falls back to ``"pure"``.
+    prebuilt extension and falls back to ``"pure"``, bumping the
+    ``accel.auto_fallback`` warning counter.
     """
     if name == "pure":
         return "pure"
@@ -104,7 +105,10 @@ def resolve_backend(name: str) -> str:
     if name == "auto":
         try:
             _load_core(build_if_missing=False)
-        except AccelUnavailable:
+        except AccelUnavailable as exc:
+            from repro.obs.warnings import obs_warn
+
+            obs_warn("accel.auto_fallback", "backend auto falls back to pure: %s", exc)
             return "pure"
         return "c"
     raise ValueError(

@@ -1,6 +1,6 @@
 /* _wheelcore.c — compiled dispatch core for the repro timing wheel.
  *
- * This extension reimplements the two hot-kernel dispatch loops of
+ * This extension reimplements the two hot dispatch loops of
  * repro.sim.engine.TimingWheel (run_until, run) plus the memory
  * controller's bank-ready/row-hit scan, behind a base type the Python
  * backend classes subclass.  It is a *mirror*, not a redesign: every

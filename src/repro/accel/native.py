@@ -8,33 +8,49 @@ function/class pair at load time and hands the table to
 handlers need (sort keys, the ``deque`` type, the exact ``Stats`` /
 ``ClassStats`` / ``Bank`` / ``DataBus`` classes used for type guards).
 
-The set of tags is governed by the committed
-:data:`repro.devtools.analysis.hotpath.NATIVE_KERNELS` manifest; the
-handshake below refuses to install a table that disagrees with it, and
-analyzer rule HOT006 checks the same manifest against the
-``repro: native-kernel`` source markers.  Growing the mirrored set is
-therefore always a three-sided change: C handler, manifest entry,
-source marker.
+The set of tags is governed by :data:`NATIVE_KERNELS` below; the
+handshake refuses to install a table that disagrees with it, and
+analyzer rule HOT006 checks the same manifest (extracted statically
+from this file) against the ``repro: native-kernel`` source markers.
+Growing the mirrored set is therefore always a three-sided change: C
+handler, manifest entry, source marker.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-__all__ = ["install_native_kinds", "manifest_digest", "native_kinds"]
+__all__ = [
+    "NATIVE_KERNELS",
+    "install_native_kinds",
+    "manifest_digest",
+    "native_kinds",
+]
 
 
-def _manifest() -> dict[str, str]:
-    # Imported lazily: repro.accel must stay importable without pulling
-    # in the devtools package until a compiled backend actually loads.
-    from repro.devtools.analysis.hotpath import NATIVE_KERNELS
-
-    return NATIVE_KERNELS
+#: The committed native-mirror inventory: callbacks the compiled wheel
+#: core executes in C without re-entering the interpreter.  Keys are
+#: qualnames; values are the kind tags the C extension registers via
+#: ``_install_kinds``.  Kept a plain dict literal so HOT006 can read it
+#: without importing the package.
+NATIVE_KERNELS: dict[str, str] = {
+    "repro.core.pacer.Pacer._release_head": "pacer_release_head",
+    "repro.dram.controller.MemoryController._run_pass": "mc_run_pass",
+    "repro.dram.controller.MemoryController._complete": "mc_complete",
+    "repro.dram.controller.MemoryController._complete_fused": "mc_complete_fused",
+    "repro.sim.system.System._deliver": "sys_deliver",
+    "repro.sim.system.System._pump_mc": "sys_pump_mc",
+    "repro.sim.system.System._enqueue_response": "sys_enqueue_response",
+    "repro.sim.system.System._flush_responses": "sys_flush_responses",
+    "repro.sim.system.System._on_mc_space": "sys_on_mc_space",
+    "repro.core.arbiter.PriorityArbiter.on_accept": "mc_policy_on_accept",
+    "repro.core.arbiter.PriorityArbiter.pick": "mc_policy_pick",
+}
 
 
 def native_kinds() -> dict[str, str]:
-    """qualname -> kind tag, as committed in the devtools manifest."""
-    return dict(_manifest())
+    """qualname -> kind tag, as committed in :data:`NATIVE_KERNELS`."""
+    return dict(NATIVE_KERNELS)
 
 
 def manifest_digest() -> str:
@@ -44,7 +60,7 @@ def manifest_digest() -> str:
     renamed tag) invalidates cached extension builds whose registered
     table would no longer match.
     """
-    payload = "\n".join(f"{qual}={kind}" for qual, kind in sorted(_manifest().items()))
+    payload = "\n".join(f"{qual}={kind}" for qual, kind in sorted(NATIVE_KERNELS.items()))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -76,15 +92,15 @@ def install_native_kinds(core) -> None:
         "mc_policy_on_accept": (PriorityArbiter.on_accept, PriorityArbiter),
         "mc_policy_pick": (PriorityArbiter.pick, PriorityArbiter),
     }
-    declared = set(_manifest().values())
+    declared = set(NATIVE_KERNELS.values())
     if set(kinds) != declared:
         missing = sorted(declared - set(kinds))
         extra = sorted(set(kinds) - declared)
         raise AccelUnavailable(
             "native kind table disagrees with the NATIVE_KERNELS manifest "
             f"(missing={missing}, unregistered={extra}); update "
-            "repro.devtools.analysis.hotpath.NATIVE_KERNELS and "
-            "repro.accel.native together"
+            "NATIVE_KERNELS and the kind table in repro.accel.native "
+            "together"
         )
     helpers = {
         "bank": Bank,

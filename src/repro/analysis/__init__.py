@@ -8,11 +8,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.attribution import (
-        LatencyAttribution,
-        attribute_latency,
-        attribution_table,
-    )
     from repro.analysis.metrics import (
         allocation_error,
         bandwidth_shares,
@@ -24,15 +19,12 @@ if TYPE_CHECKING:
     from repro.analysis.timeline import BandwidthTimeline, WindowSummary
 
 __all__ = [
-    "BandwidthTimeline", "LatencyAttribution", "WindowSummary", "allocation_error", "attribute_latency", "attribution_table",
+    "BandwidthTimeline", "WindowSummary", "allocation_error",
     "bandwidth_shares", "format_series", "format_table", "percentile",
     "share_error_per_class", "sparkline", "weighted_slowdown",
 ]
 
 __getattr__ = lazy_exports(__name__, {
-    "repro.analysis.attribution": [
-        "LatencyAttribution", "attribute_latency", "attribution_table",
-    ],
     "repro.analysis.metrics": [
         "allocation_error", "bandwidth_shares", "percentile",
         "share_error_per_class", "weighted_slowdown",

@@ -16,7 +16,7 @@ Usage::
                           [--backend {pure,c,auto}]
     python -m repro accel [info|build]
     python -m repro info
-    python -m repro lint [paths ...] [--format {text,json,sarif}] [--fix]
+    python -m repro lint [paths ...] [--format {text,json,sarif}]
                          [--list-rules] [--timings] [--no-cache]
 
 ``--sanitize`` attaches the runtime invariant checker

@@ -165,7 +165,7 @@ class Pacer:
             return  # superseded by a reschedule since this event was armed
         self._release_now()
 
-    def _release_now(self) -> None:  # repro: hot-kernel
+    def _release_now(self) -> None:
         # inlined _allowed_now()/_charge(): the drain loop runs once per
         # throttled request, where the helper frames are measurable.  The
         # clamped C_next is written back before each release() so any

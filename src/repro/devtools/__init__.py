@@ -10,13 +10,12 @@ simulator honest, in two tiers:
   containers.
 * The whole-program analyzer (:mod:`repro.devtools.analysis`) builds a
   project symbol table + call graph and checks properties no single
-  file can show: cross-module determinism taint (DET1xx), hot-kernel
-  compiled-subset discipline (HOT), and observability provider
-  integrity (OBS).
+  file can show: cross-module determinism taint (DET1xx), the compiled
+  backend's native-mirror inventory (HOT006), and observability
+  provider integrity (OBS).
 
-Supporting modules: :mod:`repro.devtools.formats` (text/JSON/SARIF
-output), :mod:`repro.devtools.baseline` (grandfathered-finding
-suppression), :mod:`repro.devtools.fixes` (``--fix`` autofixes).
+:mod:`repro.devtools.formats` renders text/JSON/SARIF output.  A
+finding is silenced only inline, with ``# repro: noqa[CODE]``.
 
 Run everything as ``python -m repro.devtools.lint src tests`` or via the
 ``repro lint`` CLI subcommand.

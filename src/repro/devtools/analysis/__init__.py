@@ -8,8 +8,8 @@ families against it:
 * **DET1xx** (:mod:`.taint`) — cross-module determinism taint: can a
   wall-clock/RNG/``hash()`` value *reach* the event queue or seed
   derivation via any call path?
-* **HOT** (:mod:`.hotpath`) — compiled-subset discipline for the
-  declared hot-kernel manifest (ROADMAP item 4 pre-flight).
+* **HOT006** (:mod:`.hotpath`) — the compiled backend's native
+  mirrors agree with the ``NATIVE_KERNELS`` manifest.
 * **OBS** (:mod:`.obs_rules`) — every registered observability provider
   names a statically-existing, data-like attribute.
 
@@ -28,14 +28,13 @@ from repro.devtools.analysis.cache import (
     store_analysis,
 )
 from repro.devtools.analysis.callgraph import build_call_graph
-from repro.devtools.analysis.hotpath import HOT_KERNELS, analyze_hot_kernels
+from repro.devtools.analysis.hotpath import analyze_hot_kernels
 from repro.devtools.analysis.obs_rules import analyze_obs_providers
 from repro.devtools.analysis.symbols import ProjectIndex, build_index
 from repro.devtools.analysis.taint import analyze_taint
 from repro.devtools.lint import Diagnostic
 
 __all__ = [
-    "HOT_KERNELS",
     "WHOLE_PROGRAM_RULES",
     "analyze_project",
     "build_call_graph",
@@ -56,29 +55,6 @@ WHOLE_PROGRAM_RULES: dict[str, tuple[str, str]] = {
         "nondeterministic value can reach RNG seed derivation "
         "(SeedSequence/PCG64/default_rng or a seed=/entropy= kwarg)",
         "determinism",
-    ),
-    "HOT001": (
-        "hot kernel uses dynamic features (eval/exec/globals/setattr/**kwargs) "
-        "outside the compiled subset",
-        "hot-path",
-    ),
-    "HOT002": (
-        "hot kernel nested def/lambda captures enclosing state (cell "
-        "variables defeat unboxing)",
-        "hot-path",
-    ),
-    "HOT003": (
-        "container allocation inside a hot-kernel loop (tuples allowed)",
-        "hot-path",
-    ),
-    "HOT004": (
-        "hot-kernel timestamp parameter not annotated int / float literal "
-        "in cycle arithmetic",
-        "hot-path",
-    ),
-    "HOT005": (
-        "hot-kernel manifest and '# repro: hot-kernel' markers disagree",
-        "hot-path",
     ),
     "HOT006": (
         "NATIVE_KERNELS manifest and 'repro: native-kernel' markers disagree",

@@ -1,46 +1,13 @@
-"""HOT rule family: compiled-subset discipline for declared hot kernels.
+"""HOT006: the compiled backend's native mirrors match their manifest.
 
-ROADMAP item 4 (compiled hot core via mypyc/Cython) is only safe to
-attempt if the kernels it would compile provably stay inside a
-compilable, allocation-disciplined subset.  This pass machine-checks
-that inventory.
-
-A *hot kernel* is a function marked with a trailing ``# repro: hot-kernel``
-comment on its ``def`` line.  For the real ``repro`` package the marked
-set must agree exactly with :data:`HOT_KERNELS` (the committed
-manifest), so adding or removing a kernel is always a reviewed,
-two-sided change.
-
-Rules:
-
-========  ==============================================================
-HOT001    no dynamic features in a hot kernel: ``eval``/``exec``/
-          ``compile``/``globals()``/``locals()``/``vars()``/
-          ``setattr``/``delattr``/``__import__`` and ``**kwargs``
-          parameters all defeat ahead-of-time compilation.
-HOT002    no closure captures of enclosing mutable state: nested
-          ``def``/``lambda`` reading the kernel's locals forces cell
-          variables, which compiled backends either reject or box.
-HOT003    no container allocation inside kernel loops beyond the
-          allowlist (tuple displays are allowed — event entries are
-          tuples by design): list/set/dict displays, comprehensions,
-          and list()/dict()/set()/deque() calls in a loop body churn
-          the allocator on the per-event path.
-HOT004    timestamp-like parameters (``when``/``now``/``deadline``/
-          ``delay``/``*_at``/``*_until``) must carry an explicit
-          ``int`` annotation so cycle arithmetic stays integral under
-          a compiled backend; float literals in kernel bodies are
-          flagged for the same reason.
-HOT005    manifest integrity: every manifest entry must resolve to a
-          marked function, and every marked function must be in the
-          manifest (machine-checked kernel inventory).
-HOT006    native-mirror integrity: every function mirrored in C by the
-          compiled backend carries a trailing ``repro: native-kernel``
-          marker, and the marked set must agree exactly with the
-          ``NATIVE_KERNELS`` manifest the backend registers at load
-          time (for foreign packages: a module-level ``NATIVE_KERNELS``
-          dict literal, statically extracted).
-========  ==============================================================
+The C wheel core executes a closed set of Python callbacks natively.
+Each mirrored function carries a trailing ``repro: native-kernel``
+marker on its ``def`` line, and the marked set must agree exactly with
+the module-level ``NATIVE_KERNELS`` dict literal the package declares
+(for ``repro``: :data:`repro.accel.native.NATIVE_KERNELS`, which the
+backend also checks at load time).  The manifest is extracted
+statically from the indexed sources, so test corpora declare (and
+violate) their own inventory the same way.
 """
 
 from __future__ import annotations
@@ -51,80 +18,12 @@ from repro.devtools.analysis.symbols import FunctionInfo, ModuleInfo, ProjectInd
 from repro.devtools.lint import Diagnostic
 
 __all__ = [
-    "HOT_KERNELS",
-    "MARKER",
-    "NATIVE_KERNELS",
     "NATIVE_MARKER",
     "analyze_hot_kernels",
-    "find_kernels",
     "find_native_kernels",
 ]
 
-MARKER = "# repro: hot-kernel"
-
-#: No leading ``#`` so a combined comment satisfies both substring
-#: checks: ``# repro: hot-kernel; repro: native-kernel``.
 NATIVE_MARKER = "repro: native-kernel"
-
-#: The committed hot-kernel inventory for the ``repro`` package: the
-#: wheel dispatch loops, the controller scheduling pass and bank issue
-#: loop, the pacer drain, and the per-class bandwidth share scan.
-HOT_KERNELS: dict[str, str] = {
-    "repro.sim.engine.TimingWheel.run_until": "wheel dispatch loop",
-    "repro.sim.engine.TimingWheel.run": "drain-to-empty dispatch loop",
-    "repro.dram.controller.MemoryController._run_pass": "controller scheduling pass",
-    "repro.dram.controller.MemoryController._issue_ready": "bank issue inner loop",
-    "repro.core.pacer.Pacer._release_now": "pacer drain loop",
-    "repro.qos.monitor.BandwidthMonitor.share": "per-class bandwidth share scan",
-}
-
-#: The committed native-mirror inventory: callbacks the compiled wheel
-#: core executes in C without re-entering the interpreter.  Keys are
-#: qualnames; values are the kind tags the C extension registers via
-#: ``_install_kinds``.  The runtime handshake
-#: (:func:`repro.accel.native.install_native_kinds`) and rule HOT006
-#: both check against this dict, so growing the mirrored set is always
-#: a reviewed, two-sided change.
-NATIVE_KERNELS: dict[str, str] = {
-    "repro.core.pacer.Pacer._release_head": "pacer_release_head",
-    "repro.dram.controller.MemoryController._run_pass": "mc_run_pass",
-    "repro.dram.controller.MemoryController._complete": "mc_complete",
-    "repro.dram.controller.MemoryController._complete_fused": "mc_complete_fused",
-    "repro.sim.system.System._deliver": "sys_deliver",
-    "repro.sim.system.System._pump_mc": "sys_pump_mc",
-    "repro.sim.system.System._enqueue_response": "sys_enqueue_response",
-    "repro.sim.system.System._flush_responses": "sys_flush_responses",
-    "repro.sim.system.System._on_mc_space": "sys_on_mc_space",
-    "repro.core.arbiter.PriorityArbiter.on_accept": "mc_policy_on_accept",
-    "repro.core.arbiter.PriorityArbiter.pick": "mc_policy_pick",
-}
-
-_BANNED_CALLS = {
-    "eval", "exec", "compile", "globals", "locals", "vars",
-    "setattr", "delattr", "__import__",
-}
-_ALLOC_CALLS = {
-    "list", "dict", "set", "frozenset", "deque", "bytearray", "defaultdict",
-}
-_TIMESTAMP_EXACT = {"when", "now", "deadline", "delay", "_now"}
-_TIMESTAMP_SUFFIXES = ("_at", "_deadline", "_until")
-
-
-def _is_timestamp_param(name: str) -> bool:
-    return name in _TIMESTAMP_EXACT or name.endswith(_TIMESTAMP_SUFFIXES)
-
-
-def find_kernels(index: ProjectIndex) -> dict[str, FunctionInfo]:
-    """Every function whose ``def`` line carries the hot-kernel marker."""
-    kernels: dict[str, FunctionInfo] = {}
-    for module in index.modules.values():
-        for fn in _iter_functions(module):
-            if fn.node is None:
-                continue
-            line_index = fn.node.lineno - 1
-            if line_index < len(module.lines) and MARKER in module.lines[line_index]:
-                kernels[fn.qualname] = fn
-    return kernels
 
 
 def find_native_kernels(index: ProjectIndex) -> dict[str, FunctionInfo]:
@@ -143,14 +42,9 @@ def find_native_kernels(index: ProjectIndex) -> dict[str, FunctionInfo]:
 def _native_manifest(index: ProjectIndex) -> dict[str, str]:
     """The NATIVE_KERNELS manifest that governs ``index``'s package.
 
-    The ``repro`` package is governed by the committed module-level
-    manifest above.  Any other package (test corpora, third-party
-    trees) is governed by module-level ``NATIVE_KERNELS`` dict literals
-    found inside the package itself, statically extracted and merged —
-    so corpus projects can declare (and violate) their own inventory.
+    Module-level ``NATIVE_KERNELS`` dict literals found inside the
+    package, statically extracted and merged.
     """
-    if index.package == "repro":
-        return dict(NATIVE_KERNELS)
     manifest: dict[str, str] = {}
     for module in sorted(index.modules):
         tree = index.modules[module].tree
@@ -179,60 +73,10 @@ def _native_manifest(index: ProjectIndex) -> dict[str, str]:
 
 
 def analyze_hot_kernels(index: ProjectIndex) -> list[Diagnostic]:
+    # Two-sided check: manifest entries must be marked; marked functions
+    # must be in the manifest.  A native marker claims a C twin exists,
+    # and an unregistered twin is a violation in any package.
     diagnostics: list[Diagnostic] = []
-    kernels = find_kernels(index)
-
-    # HOT005: two-sided manifest check.  The manifest binds to its own
-    # package; an index over another package (test corpora) is checked
-    # purely marker-vs-marker, so corpora don't inherit repro's manifest.
-    manifest = {
-        qualname: description
-        for qualname, description in HOT_KERNELS.items()
-        if qualname.split(".")[0] == index.package
-    }
-    for qualname in sorted(manifest):
-        if qualname in kernels:
-            continue
-        module_name = _owning_module(index, qualname)
-        module = index.modules.get(module_name)
-        diagnostics.append(
-            Diagnostic(
-                path=module.path if module is not None else "<manifest>",
-                line=1,
-                col=0,
-                code="HOT005",
-                message=(
-                    f"manifest kernel {qualname} is not marked with "
-                    f"'{MARKER}' on its def line (or does not exist); the "
-                    "declared inventory and the marked set must agree"
-                ),
-            )
-        )
-    if manifest or index.package == "repro":
-        for qualname, fn in sorted(kernels.items()):
-            if qualname not in manifest:
-                module = index.modules[fn.module]
-                diagnostics.append(
-                    Diagnostic(
-                        path=module.path,
-                        line=fn.lineno,
-                        col=0,
-                        code="HOT005",
-                        message=(
-                            f"{qualname} is marked '{MARKER}' but absent from "
-                            "the HOT_KERNELS manifest "
-                            "(repro.devtools.analysis.hotpath); declare it "
-                            "there so the compiled-core inventory stays "
-                            "reviewed"
-                        ),
-                    )
-                )
-
-    # HOT006: two-sided native-mirror check.  Manifest entries must be
-    # marked; marked functions must be in the manifest.  Unlike HOT005,
-    # the marked-without-manifest direction is not gated on a non-empty
-    # manifest: a native marker claims a C twin exists, and an
-    # unregistered twin is a violation in any package.
     native_manifest = _native_manifest(index)
     native_marked = find_native_kernels(index)
     for qualname in sorted(native_manifest):
@@ -275,11 +119,6 @@ def analyze_hot_kernels(index: ProjectIndex) -> list[Diagnostic]:
                 ),
             )
         )
-
-    for qualname in sorted(kernels):
-        fn = kernels[qualname]
-        module = index.modules[fn.module]
-        diagnostics.extend(_check_kernel(module, fn))
     return diagnostics
 
 
@@ -290,134 +129,6 @@ def _owning_module(index: ProjectIndex, qualname: str) -> str:
         if candidate in index.modules:
             return candidate
     return ""
-
-
-def _check_kernel(module: ModuleInfo, fn: FunctionInfo) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-    node = fn.node
-
-    def report(at: ast.AST, code: str, message: str) -> None:
-        diagnostics.append(
-            Diagnostic(
-                path=module.path,
-                line=getattr(at, "lineno", fn.lineno),
-                col=getattr(at, "col_offset", 0),
-                code=code,
-                message=f"hot kernel {fn.qualname.split('.')[-1]}: {message}",
-                end_line=getattr(at, "end_lineno", 0) or 0,
-            )
-        )
-
-    # HOT001: signature
-    if fn.has_kwargs:
-        report(
-            node, "HOT001",
-            "**kwargs parameter defeats compiled calling conventions",
-        )
-
-    loop_depth = 0
-
-    def walk(current: ast.AST, in_loop: bool) -> None:
-        for child in ast.iter_child_nodes(current):
-            child_in_loop = in_loop
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                child_in_loop = True
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else None
-                if name in _BANNED_CALLS:
-                    report(
-                        child, "HOT001",
-                        f"{name}() is outside the compiled subset",
-                    )
-                if in_loop and name in _ALLOC_CALLS:
-                    report(
-                        child, "HOT003",
-                        f"{name}() allocates inside a kernel loop; hoist it "
-                        "or restructure the loop to reuse storage",
-                    )
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                captured = _captured_names(child, node)
-                if captured:
-                    names = ", ".join(sorted(captured)[:4])
-                    kind = "lambda" if isinstance(child, ast.Lambda) else "nested def"
-                    report(
-                        child, "HOT002",
-                        f"{kind} captures enclosing state ({names}); closures "
-                        "force cell variables the compiled backend cannot "
-                        "unbox",
-                    )
-                continue  # nested scopes are not part of this kernel's body
-            if in_loop and isinstance(
-                child, (ast.ListComp, ast.SetComp, ast.DictComp)
-            ):
-                kind = type(child).__name__
-                report(
-                    child, "HOT003",
-                    f"{kind} allocates inside a kernel loop; hoist it or "
-                    "restructure the loop to reuse storage",
-                )
-            if in_loop and isinstance(child, (ast.List, ast.Set, ast.Dict)):
-                report(
-                    child, "HOT003",
-                    f"{type(child).__name__} display allocates inside a "
-                    "kernel loop (tuples are the allowed entry shape)",
-                )
-            if isinstance(child, ast.Constant) and isinstance(child.value, float):
-                report(
-                    child, "HOT004",
-                    f"float literal {child.value!r} in a hot kernel; cycle "
-                    "arithmetic must stay integral",
-                )
-            walk(child, child_in_loop)
-
-    walk(node, loop_depth > 0)
-
-    # HOT004: timestamp-like parameters need an explicit int annotation
-    for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
-        if arg.arg == "self" or not _is_timestamp_param(arg.arg):
-            continue
-        annotation = fn.annotations.get(arg.arg)
-        if annotation != "int":
-            report(
-                arg, "HOT004",
-                f"timestamp parameter {arg.arg!r} must be annotated 'int' "
-                f"(found {annotation or 'no annotation'}); the compiled "
-                "backend needs provably integral cycle arithmetic",
-            )
-    return diagnostics
-
-
-def _captured_names(
-    nested: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-    outer: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> set[str]:
-    """Names the nested scope reads from the enclosing function."""
-    own: set[str] = set()
-    args = nested.args
-    for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        own.add(arg.arg)
-    if args.vararg is not None:
-        own.add(args.vararg.arg)
-    if args.kwarg is not None:
-        own.add(args.kwarg.arg)
-    body = nested.body if isinstance(nested.body, list) else [nested.body]
-    loads: set[str] = set()
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Name):
-                if isinstance(sub.ctx, ast.Store):
-                    own.add(sub.id)
-                elif isinstance(sub.ctx, ast.Load):
-                    loads.add(sub.id)
-    outer_locals: set[str] = set()
-    outer_args = outer.args
-    for arg in outer_args.posonlyargs + outer_args.args + outer_args.kwonlyargs:
-        outer_locals.add(arg.arg)
-    for sub in ast.walk(outer):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            outer_locals.add(sub.id)
-    return (loads - own) & outer_locals
 
 
 def _iter_functions(module: ModuleInfo):

@@ -75,7 +75,6 @@ class FunctionInfo:
     is_method: bool
     owner: str | None  # owning class qualname for methods
     is_property: bool
-    has_kwargs: bool
     node: ast.FunctionDef | ast.AsyncFunctionDef = field(repr=False, default=None)
 
 
@@ -602,7 +601,6 @@ class _ModuleBuilder:
             is_method=owner is not None,
             owner=owner.qualname if owner is not None else None,
             is_property=is_property,
-            has_kwargs=node.args.kwarg is not None,
             node=node,
         )
 

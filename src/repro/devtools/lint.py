@@ -71,18 +71,18 @@ PERF005   native-code loading modules (``ctypes``, ``cffi``,
 
 Beyond the per-file rules above, ``main`` also runs the whole-program
 pass (:mod:`repro.devtools.analysis`) whenever a lint path contains the
-``repro`` package: determinism taint (DET1xx), hot-kernel discipline
-(HOT), and observability providers (OBS).  ``--list-rules`` shows both
-registries.
+``repro`` package: determinism taint (DET1xx), native-mirror integrity
+(HOT006), and observability providers (OBS).  ``--list-rules`` shows
+both registries.
 
 Usage::
 
     python -m repro.devtools.lint [--list-rules] [--format=text|json|sarif]
-                                  [--fix] [--jobs N] [paths ...]
+                                  [--output FILE] [--jobs N] [paths ...]
     repro lint [paths ...]
 
-Exit status is non-zero when any diagnostic survives suppression and
-the baseline; 2 on usage errors (nonexistent or non-Python paths).
+Exit status is non-zero when any diagnostic survives ``# repro: noqa``
+suppression; 2 on usage errors (nonexistent or non-Python paths).
 """
 
 from __future__ import annotations
@@ -914,35 +914,21 @@ def _family_of(code: str) -> str:
 
 def _list_rules() -> str:
     from repro.devtools.analysis import WHOLE_PROGRAM_RULES
-    from repro.devtools.fixes import AUTOFIXES
 
-    rows: list[tuple[str, str, str, str, str]] = []
-    for code in sorted(RULES):
-        rows.append(
-            (
-                code,
-                _family_of(code),
-                "per-file",
-                "yes" if code in AUTOFIXES else "no",
-                RULES[code].summary,
-            )
-        )
+    rows = [
+        (code, _family_of(code), "per-file", RULES[code].summary)
+        for code in sorted(RULES)
+    ]
     for code in sorted(WHOLE_PROGRAM_RULES):
         summary, family = WHOLE_PROGRAM_RULES[code]
-        rows.append((code, family, "whole-program", "no", summary))
-    headers = ("CODE", "FAMILY", "SCOPE", "FIX", "SUMMARY")
-    widths = [
-        max(len(headers[i]), max(len(row[i]) for row in rows)) for i in range(4)
-    ]
-    lines = [
-        "  ".join(headers[i].ljust(widths[i]) for i in range(4)) + "  SUMMARY"
-    ]
-    lines.append("  ".join("-" * widths[i] for i in range(4)) + "  " + "-" * 7)
-    for row in rows:
-        lines.append(
-            "  ".join(row[i].ljust(widths[i]) for i in range(4)) + "  " + row[4]
-        )
-    return "\n".join(lines)
+        rows.append((code, family, "whole-program", summary))
+    headers = ("CODE", "FAMILY", "SCOPE", "SUMMARY")
+    widths = [max(len(row[i]) for row in (headers, *rows)) for i in range(3)]
+    rule = tuple("-" * width for width in widths) + ("-" * 7,)
+    return "\n".join(
+        "  ".join(row[i].ljust(widths[i]) for i in range(3)) + "  " + row[3]
+        for row in (headers, rule, *rows)
+    )
 
 
 def _find_package_roots(paths: Iterable[Path | str]) -> list[Path]:
@@ -988,7 +974,7 @@ def _whole_program_diagnostics(
             f"({'warm, cache hit' if info['cache_hit'] else 'cold'}; "
             f"fingerprint {info['fingerprint']})"
         )
-        # honour # repro: noqa in the analyzed sources
+        # honour inline noqa suppressions in the analyzed sources
         by_path: dict[str, list[Diagnostic]] = {}
         for diag in found:
             by_path.setdefault(diag.path, []).append(diag)
@@ -1015,7 +1001,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--list-rules", action="store_true",
-        help="print the rule table (family, scope, autofix) and exit",
+        help="print the rule table (family, scope) and exit",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -1026,37 +1012,12 @@ def main(argv: list[str] | None = None) -> int:
         help="write formatted diagnostics to this file instead of stdout",
     )
     parser.add_argument(
-        "--fix", action="store_true",
-        help="apply autofixes for the mechanical rules (DET004, DET005)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="lint files in N parallel processes (default: 1)",
     )
     parser.add_argument(
-        "--baseline", default="LINT_BASELINE.json", metavar="PATH",
-        help="baseline suppression file (default: LINT_BASELINE.json; "
-             "missing file means empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file with all current findings "
-             "(existing justifications carry forward by key; refuses to "
-             "add new TODO-justified entries without --accept-todo)",
-    )
-    parser.add_argument(
-        "--accept-todo", action="store_true",
-        help="with --update-baseline: allow writing placeholder "
-             "(TODO) justifications for findings the previous baseline "
-             "did not justify",
-    )
-    parser.add_argument(
         "--no-whole-program", action="store_true",
-        help="skip the whole-program analysis pass (DET1xx/HOT/OBS)",
+        help="skip the whole-program analysis pass (DET1xx/HOT006/OBS)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1077,12 +1038,6 @@ def main(argv: list[str] | None = None) -> int:
 
     timings: list[str] = []
     try:
-        if args.fix:
-            from repro.devtools.fixes import fix_paths
-
-            changed = fix_paths(args.paths)
-            for path, count in changed:
-                print(f"fixed {count} finding(s) in {path}")
         diagnostics = lint_paths(args.paths, jobs=args.jobs)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1100,64 +1055,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.code))
-
-    from repro.devtools.baseline import Baseline
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        previous = Baseline.load(baseline_path)
-        updated = Baseline.from_diagnostics(
-            diagnostics, justifications=previous.justifications()
-        )
-        placeholders = updated.placeholder_entries()
-        if placeholders and not args.accept_todo:
-            print(
-                f"refusing to write {len(placeholders)} baseline entr"
-                f"{'y' if len(placeholders) == 1 else 'ies'} with "
-                "placeholder justifications; justify the findings or "
-                "re-run with --accept-todo:",
-                file=sys.stderr,
-            )
-            for entry in placeholders:
-                print(
-                    f"  {entry.path}:{entry.line}: {entry.code} "
-                    f"{entry.message}",
-                    file=sys.stderr,
-                )
-            return 2
-        updated.save(baseline_path)
-        print(f"baseline updated: {baseline_path} ({len(diagnostics)} entries)")
-        if placeholders:
-            print(
-                f"warning: {len(placeholders)} entr"
-                f"{'y has' if len(placeholders) == 1 else 'ies have'} "
-                "placeholder justifications — fill them in before "
-                "committing",
-                file=sys.stderr,
-            )
-        return 0
-    if not args.no_baseline:
-        baseline = Baseline.load(baseline_path)
-        placeholders = baseline.placeholder_entries()
-        if placeholders:
-            from repro.obs.warnings import obs_warn
-
-            obs_warn(
-                "lint.baseline_todo",
-                "baseline %s suppresses %d finding(s) without reviewed "
-                "justifications",
-                baseline_path,
-                len(placeholders),
-            )
-            for entry in placeholders:
-                print(
-                    f"warning: baseline entry {entry.path}: {entry.code} "
-                    "has a placeholder justification — justify or fix",
-                    file=sys.stderr,
-                )
-        diagnostics, suppressed = baseline.filter(diagnostics)
-        if suppressed and args.timings:
-            timings.append(f"baseline suppressed {suppressed} finding(s)")
 
     from repro.devtools.formats import render
 

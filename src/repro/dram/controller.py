@@ -246,7 +246,7 @@ class MemoryController:
         self._pass_token = token
         self._engine.post_at(when, self._run_pass, token)
 
-    def _run_pass(self, token: int) -> None:  # repro: hot-kernel; repro: native-kernel
+    def _run_pass(self, token: int) -> None:  # repro: native-kernel
         if token != self._pass_token:
             return  # superseded by a later request for an earlier pass
         self._pass_at = None
@@ -291,7 +291,7 @@ class MemoryController:
                 ready.append(req)
         return ready
 
-    def _issue_ready(self, now: int) -> int:  # repro: hot-kernel
+    def _issue_ready(self, now: int) -> int:
         """Serve ready requests until banks, bus, or queues run out.
 
         The ready lists are maintained incrementally across issues instead

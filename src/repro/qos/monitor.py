@@ -50,7 +50,7 @@ class BandwidthMonitor:
             raise ValueError("monitor was created without a peak bandwidth")
         return self.bandwidth(qos_id, window_epochs) / self._peak
 
-    def share(self, qos_id: int, window_epochs: int | None = None) -> float:  # repro: hot-kernel
+    def share(self, qos_id: int, window_epochs: int | None = None) -> float:
         """Fraction of observed traffic belonging to ``qos_id``."""
         epochs = self._stats.epochs
         if window_epochs is not None:

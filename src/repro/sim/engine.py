@@ -454,7 +454,7 @@ class TimingWheel:
     # only at a cycle the loop is about to visit, never past the clock
     # the run returns with.
 
-    def run_until(self, deadline: int) -> None:  # repro: hot-kernel
+    def run_until(self, deadline: int) -> None:
         """Dispatch events with timestamp <= ``deadline``.
 
         The clock is left at ``deadline`` even if the queue drains early, so
@@ -532,7 +532,7 @@ class TimingWheel:
         if self._wheel_pos < deadline:
             self._slide(deadline)
 
-    def run(self, max_events: int | None = None) -> int:  # repro: hot-kernel
+    def run(self, max_events: int | None = None) -> int:
         """Dispatch events until the queue is empty.
 
         Returns the number of events dispatched.  ``max_events`` guards

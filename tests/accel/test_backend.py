@@ -1,10 +1,26 @@
 """Backend registry semantics: selection, fallback, and accounting."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro import accel
 from repro.accel import build as build_mod
+from repro.obs.warnings import reset_warning_counters, warning_counts
 from repro.sim.engine import Engine
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.fixture(autouse=True)
+def isolated_counters():
+    reset_warning_counters()
+    yield
+    reset_warning_counters()
 
 
 def test_unknown_backend_name_is_rejected():
@@ -26,6 +42,52 @@ def test_auto_degrades_to_pure_without_a_prebuilt_artifact(
         build_mod, "artifact_path", lambda cache_dir=None: tmp_path / "no.so"
     )
     assert accel.resolve_backend("auto") == "pure"
+    assert warning_counts() == {"accel.auto_fallback": 1}
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A fresh process in a tree with no extension and no C toolchain."""
+    monkeypatch.setattr(accel, "_core", None)
+    monkeypatch.setattr(build_mod, "compiler", lambda: None)
+    monkeypatch.setattr(
+        build_mod, "artifact_path",
+        lambda cache_dir=None: tmp_path / "accel" / "_wheelcore.so",
+    )
+
+
+def test_missing_compiler_fails_c_loudly_without_counting(no_compiler):
+    with pytest.raises(accel.AccelUnavailable, match="no C compiler"):
+        accel.resolve_backend("c")
+    assert warning_counts() == {}
+
+
+def test_missing_compiler_counts_the_auto_fallback_once(no_compiler):
+    assert accel.resolve_backend("pure") == "pure"
+    assert warning_counts() == {}
+    assert accel.resolve_backend("auto") == "pure"
+    assert warning_counts() == {"accel.auto_fallback": 1}
+
+
+def test_native_manifest_loads_without_the_linter():
+    # The build fingerprint folds in the manifest digest on every c/auto
+    # resolve; reading the manifest must not drag in repro.devtools.
+    code = textwrap.dedent(
+        """
+        import sys
+        from repro.accel import native
+        native.native_kinds()
+        native.manifest_digest()
+        print(sorted(m for m in sys.modules if m.startswith("repro.devtools")))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_backend_context_restores_previous_selection(c_backend):

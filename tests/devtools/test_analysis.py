@@ -12,12 +12,8 @@ from repro.devtools.analysis import (
 )
 from repro.devtools.analysis.cache import load_analysis, store_analysis
 from repro.devtools.analysis.callgraph import build_call_graph
-from repro.devtools.analysis.hotpath import (
-    HOT_KERNELS,
-    NATIVE_KERNELS,
-    find_kernels,
-    find_native_kernels,
-)
+from repro.accel.native import NATIVE_KERNELS
+from repro.devtools.analysis.hotpath import _native_manifest, find_native_kernels
 from repro.devtools.analysis.symbols import build_index
 from repro.devtools.analysis.taint import analyze_taint
 from repro.devtools.lint import Diagnostic
@@ -171,32 +167,8 @@ def test_untainted_values_do_not_fire():
 
 
 # ----------------------------------------------------------------------
-# hot kernels
+# native mirrors (HOT006)
 # ----------------------------------------------------------------------
-def test_manifest_entries_all_marked_in_tree():
-    index = build_index(PACKAGE_ROOT)
-    kernels = find_kernels(index)
-    assert set(HOT_KERNELS) == set(kernels)
-
-
-def test_hot005_fires_on_marker_without_manifest_entry():
-    index = build_index(
-        "repro", package="repro",
-        sources={"repro/x.py": "def fast():  # repro: hot-kernel\n    return 1\n"},
-    )
-    from repro.devtools.analysis.hotpath import analyze_hot_kernels
-
-    diags = analyze_hot_kernels(index)
-    unmarked = [d for d in diags if "absent from the HOT_KERNELS manifest" in d.message]
-    assert len(unmarked) == 1 and unmarked[0].code == "HOT005"
-    # ...and every real manifest entry is reported missing from this tiny
-    # tree (HOT005 for the hot inventory, HOT006 for the native mirrors)
-    missing = [d for d in diags if d.code == "HOT005" and "is not marked" in d.message]
-    assert len(missing) == len(HOT_KERNELS)
-    native_missing = [d for d in diags if d.code == "HOT006"]
-    assert len(native_missing) == len(NATIVE_KERNELS)
-
-
 def test_corpus_packages_do_not_inherit_repro_manifest():
     index = _index({"proj/x.py": "def plain():\n    return 1\n"})
     from repro.devtools.analysis.hotpath import analyze_hot_kernels
@@ -206,6 +178,8 @@ def test_corpus_packages_do_not_inherit_repro_manifest():
 
 def test_native_manifest_entries_all_marked_in_tree():
     index = build_index(PACKAGE_ROOT)
+    # HOT006 reads the runtime manifest statically, like any corpus
+    assert _native_manifest(index) == NATIVE_KERNELS
     assert set(NATIVE_KERNELS) == set(find_native_kernels(index))
 
 
@@ -245,7 +219,7 @@ def test_hot006_fires_on_manifest_entry_without_marker():
 # ----------------------------------------------------------------------
 def test_cache_round_trip_and_fingerprint_mismatch(tmp_path):
     diags = [
-        Diagnostic(path="src/x.py", line=3, col=1, code="HOT003",
+        Diagnostic(path="src/x.py", line=3, col=1, code="HOT006",
                    message="demo", end_line=4),
     ]
     store_analysis(tmp_path, "abcd1234", diags, {"package": "repro"})
@@ -272,8 +246,8 @@ def test_analyze_project_cold_under_budget(tmp_path):
     elapsed = time.perf_counter() - started
     assert not info["cache_hit"]
     assert elapsed < 10.0, f"cold whole-program pass took {elapsed:.1f}s"
-    # the only raw findings on the clean tree are the baselined HOT ones
-    assert all(d.code.startswith("HOT") for d in diags)
+    # the clean tree has no raw findings: nothing is suppressed out of band
+    assert diags == []
 
 
 def test_analyze_project_warm_hits_cache_under_budget(tmp_path):
@@ -293,16 +267,25 @@ def test_clean_tree_exits_zero_through_main(monkeypatch):
     assert main(["src", "tests", "--no-cache"]) == 0
 
 
-def test_every_baselined_finding_has_a_justification():
-    import json
+def test_every_inline_suppression_names_its_codes():
+    # ``# repro: noqa[CODE]`` is the only way to silence a finding, so
+    # each one in the tree must say which rule it silences
+    import io
+    import tokenize
 
-    data = json.loads(
-        (REPO_ROOT / "LINT_BASELINE.json").read_text(encoding="utf-8")
-    )
-    assert data["entries"], "baseline unexpectedly empty"
-    for entry in data["entries"]:
-        assert entry["justification"].strip()
-        assert "TODO" not in entry["justification"]
+    from repro.devtools.lint import _NOQA_RE
+
+    blanket = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = _NOQA_RE.search(token.string)
+                if match is not None and match.group("codes") is None:
+                    blanket.append(f"{path.relative_to(REPO_ROOT)}:{token.start[0]}")
+    assert blanket == []
 
 
 def test_whole_program_rules_do_not_collide_with_per_file_rules():

@@ -1,4 +1,4 @@
-"""Edge cases for ``# repro: noqa`` scoping, path validation, and fixes."""
+"""Edge cases for ``# repro: noqa`` scoping, path validation, and output."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import textwrap
 
 import pytest
 
-from repro.devtools.fixes import fix_source
 from repro.devtools.lint import (
     LintUsageError,
     lint_paths,
@@ -147,46 +146,6 @@ def test_overlapping_paths_do_not_duplicate_diagnostics(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# autofixes
-# ----------------------------------------------------------------------
-def test_fix_rewrites_timestamp_division_to_floor_division():
-    fixed, count = fix_source("def f(now):\n    return now / 4\n")
-    assert count == 1
-    assert "now // 4" in fixed
-
-
-def test_fix_wraps_bare_set_iteration_in_sorted():
-    fixed, count = fix_source(
-        "def f():\n    for x in {3, 1}:\n        print(x)\n"
-    )
-    assert count == 1
-    assert "for x in sorted({3, 1}):" in fixed
-
-
-def test_fix_skips_noqa_suppressed_findings():
-    source = "def f(now):\n    return now / 4  # repro: noqa[DET004]\n"
-    fixed, count = fix_source(source)
-    assert count == 0 and fixed == source
-
-
-def test_fixed_output_lints_clean():
-    fixed, _ = fix_source(
-        "def f(now):\n"
-        "    for x in {3, 1}:\n"
-        "        print(x / 1)\n"
-        "    return now / 4\n"
-    )
-    assert [d.code for d in lint_source(fixed)] == []
-
-
-def test_fix_paths_end_to_end(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("def f(now):\n    return now / 4\n", encoding="utf-8")
-    assert main([str(target), "--fix", "--no-whole-program"]) == 0
-    assert "now // 4" in target.read_text(encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
 # output formats through main
 # ----------------------------------------------------------------------
 def test_json_output_written_to_file(tmp_path):
@@ -194,7 +153,7 @@ def test_json_output_written_to_file(tmp_path):
     bad.write_text("x = hash('k')\n", encoding="utf-8")
     out = tmp_path / "diags.json"
     code = main([str(bad), "--format=json", "--output", str(out),
-                 "--no-whole-program", "--no-baseline"])
+                 "--no-whole-program"])
     assert code == 1
     import json
 
@@ -207,7 +166,7 @@ def test_sarif_output_shape(tmp_path):
     bad.write_text("x = hash('k')\n", encoding="utf-8")
     out = tmp_path / "diags.sarif"
     main([str(bad), "--format=sarif", "--output", str(out),
-          "--no-whole-program", "--no-baseline"])
+          "--no-whole-program"])
     import json
 
     sarif = json.loads(out.read_text(encoding="utf-8"))
@@ -223,8 +182,10 @@ def test_list_rules_table_covers_both_registries(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "per-file" in out and "whole-program" in out
-    for code in ("DET001", "DET101", "HOT003", "PERF003", "OBS001"):
-        assert code in out
-    # autofixability column
-    det004_row = next(line for line in out.splitlines() if line.startswith("DET004"))
-    assert "yes" in det004_row
+    codes = {line.split()[0] for line in out.splitlines()[2:]}
+    for code in ("DET001", "DET101", "HOT006", "PERF003", "OBS001"):
+        assert code in codes
+    # the compiled-subset family is gone; only the native-mirror rule stays
+    assert {code for code in codes if code.startswith("HOT")} == {"HOT006"}
+    header = out.splitlines()[0].split()
+    assert header == ["CODE", "FAMILY", "SCOPE", "SUMMARY"]
