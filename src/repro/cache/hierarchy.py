@@ -26,21 +26,7 @@ from repro.cache.partition import WayPartition
 from repro.sim.config import SystemConfig
 from repro.sim.topology import AddressMap, _mix_bits
 
-__all__ = ["CacheHierarchy", "HierarchyOutcome", "HitLevel", "WritebackInfo"]
-
-
-@dataclass(frozen=True, slots=True)
-class WritebackInfo:
-    """A dirty line pushed out to memory, with its owning QoS class.
-
-    The owner is carried so the system can implement either of the
-    accounting policies Section V-C discusses: charge the class whose
-    demand caused the eviction (the paper's choice) or charge the class
-    that owns the dirty data.
-    """
-
-    addr: int
-    owner_qos_id: int
+__all__ = ["CacheHierarchy", "HierarchyOutcome", "HitLevel"]
 
 
 class HitLevel(str, Enum):
@@ -57,7 +43,8 @@ class HierarchyOutcome:
 
     level: HitLevel
     l3_slice: int = -1
-    mem_writebacks: list[WritebackInfo] = field(default_factory=list)
+    #: line addresses of the dirty lines this access pushed out to memory
+    mem_writebacks: list[int] = field(default_factory=list)
 
     @property
     def goes_to_memory(self) -> bool:
@@ -125,7 +112,7 @@ class CacheHierarchy:
         if l2_result.hit:
             return _L2_HIT
 
-        writebacks: list[WritebackInfo] = []
+        writebacks: list[int] = []
         l3_slices = self.l3_slices
         num_slices = self._num_slices
         line_shift = self._line_shift
@@ -143,9 +130,7 @@ class CacheHierarchy:
             ]
             l3_victim = victim_slice.fill(victim.line_addr, victim.qos_id, dirty=True)
             if l3_victim is not None and l3_victim.dirty:
-                writebacks.append(
-                    WritebackInfo(l3_victim.line_addr, l3_victim.qos_id)
-                )
+                writebacks.append(l3_victim.line_addr)
 
         l3_result = l3.access(addr, is_write=False, qos_id=qos_id)
         if l3_result.hit:
@@ -154,11 +139,7 @@ class CacheHierarchy:
             )
         if l3_result.dirty_eviction:
             assert l3_result.victim is not None
-            writebacks.append(
-                WritebackInfo(
-                    l3_result.victim.line_addr, l3_result.victim.qos_id
-                )
-            )
+            writebacks.append(l3_result.victim.line_addr)
         return HierarchyOutcome(
             level=HitLevel.MEMORY, l3_slice=slice_id, mem_writebacks=writebacks
         )

@@ -387,7 +387,15 @@ def _cmd_accel(args: argparse.Namespace) -> int:
     print(f"compiler:    {cc if cc else 'none found (tried gcc, cc, clang)'}")
     print(f"artifact:    {path} "
           f"({'present' if path.exists() else 'not built'})")
-    print(f"auto resolves to: {accel.resolve_backend('auto')}")
+    # probe the prebuilt artifact the way auto does, but not through
+    # resolve_backend("auto"): a status query is not a runtime fallback
+    # and must not count as one
+    try:
+        accel._load_core(build_if_missing=False)
+        auto = "c"
+    except accel.AccelUnavailable:
+        auto = "pure"
+    print(f"auto resolves to: {auto}")
     from repro.accel import native
 
     kinds = native.native_kinds()

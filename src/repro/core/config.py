@@ -1,11 +1,10 @@
 """PABST mechanism parameters.
 
-Defaults follow Section III where the paper gives numbers: the rate scale
-factor F enabling fractional period changes, the governor's delta-M inertia
-of 3 epochs, 16-request pacer bursts, and the arbiter slack cap.  Two
-quantities the paper leaves relative to its (unstated) stride magnitudes —
-the pacer credit bound and the arbiter slack — are expressed here in
-request/stride units; DESIGN.md §3 records the reasoning.
+Defaults follow Section III where the paper gives numbers: the governor's
+delta-M inertia of 3 epochs, 16-request pacer bursts, and the arbiter slack
+cap.  Two quantities the paper leaves relative to its (unstated) stride
+magnitudes — the pacer credit bound and the arbiter slack — are expressed
+here in request/stride units; DESIGN.md §3 records the reasoning.
 """
 
 from __future__ import annotations
@@ -21,32 +20,17 @@ class PabstConfig:
 
     Attributes
     ----------
-    f_scale:
-        The constant F of Eq. 3.  ``None`` uses the QoS registry's stride
-        scale so ``class_period = M / weight`` cycles, which keeps period
-        granularity independent of the stride fixed-point choice.
     inertia:
         Consecutive same-direction epochs before delta-M starts growing.
         The paper quotes 3 for 10 us epochs; with this reproduction's
         shorter epochs (higher SAT lag relative to the epoch) 6 damps the
         M limit-cycle while still re-allocating bandwidth within a few
         epochs (the stability/responsiveness trade-off of Section III-B1).
-    dm_max, m_max:
-        Caps keeping governor state in small (12-bit-ish) integers.
     burst_requests:
         Pacer credit bound, in requests ("bursts of up to 16 requests").
     arbiter_slack_strides:
         Arbiter deadline cap, in units of the stride scale: an idle class
         can bank at most this many weight-1-request-equivalents of priority.
-    row_hits_first:
-        Back-end arbiter prefers row hits before deadline order (paper's
-        fair FR-FCFS variant; moot under the closed-page default).
-    thread_scaling:
-        How a class's allocation divides among its threads (Eq. 4).
-        ``"equal"`` is the paper's mechanism (stride x active threads);
-        ``"demand"`` implements the Section V-B future-work extension,
-        weighting each thread by its recent request demand so a class
-        with asymmetric threads can still consume its full share.
     per_controller_governors:
         Section III-C1 alternative: instead of one global wired-OR SAT
         driving one governor per source, each source runs one governor per
@@ -55,36 +39,15 @@ class PabstConfig:
         throttling traffic bound for idle ones.
     """
 
-    f_scale: int | None = None
     inertia: int = 6
-    dm_init: int = 1
-    dm_max: int = 512
-    m_init: int = 0
-    m_max: int = 1 << 13
     burst_requests: int = 16
     arbiter_slack_strides: int = 8
-    row_hits_first: bool = True
-    thread_scaling: str = "equal"
     per_controller_governors: bool = False
 
     def __post_init__(self) -> None:
-        if self.f_scale is not None and self.f_scale <= 0:
-            raise ValueError("f_scale must be positive")
         if self.inertia < 1:
             raise ValueError("inertia must be >= 1")
-        if self.dm_init < 1 or self.dm_max < self.dm_init:
-            raise ValueError("need 1 <= dm_init <= dm_max")
-        if self.m_init < 0 or self.m_max < self.m_init:
-            raise ValueError("need 0 <= m_init <= m_max")
         if self.burst_requests < 1:
             raise ValueError("burst_requests must be >= 1")
         if self.arbiter_slack_strides < 1:
             raise ValueError("arbiter_slack_strides must be >= 1")
-        if self.thread_scaling not in ("equal", "demand"):
-            raise ValueError(
-                f"unknown thread_scaling {self.thread_scaling!r}"
-            )
-        if self.per_controller_governors and self.thread_scaling != "equal":
-            raise ValueError(
-                "per-controller governors support only equal thread scaling"
-            )

@@ -23,7 +23,7 @@ Table II is corrupt in the available text — see DESIGN.md §3):
   and resets ``E`` — noisy SAT means the system hovers near the ideal
   rate, so steps should be small.
 * After ``inertia`` consecutive same-direction epochs ``dM`` doubles each
-  epoch (cap ``dm_max``) — steady SAT means demand moved, so converge fast.
+  epoch (cap ``DM_MAX``) — steady SAT means demand moved, so converge fast.
 
 Everything is shifts and adds on small integers, as required.
 """
@@ -36,14 +36,21 @@ from repro.qos.classes import QoSRegistry
 
 __all__ = ["Governor", "SystemMonitor"]
 
+#: Power-on state: no throttling, unit steps.
+M_INIT = 0
+DM_INIT = 1
+#: Caps keeping the governor state in small (12-bit-ish) integers.
+M_MAX = 1 << 13
+DM_MAX = 512
+
 
 class SystemMonitor:
     """The M / delta-M / E state machine shared (by construction) by all governors."""
 
     def __init__(self, config: PabstConfig) -> None:
         self._config = config
-        self.m = config.m_init
-        self.dm = config.dm_init
+        self.m = M_INIT
+        self.dm = DM_INIT
         self.e = 0
         self.rate_direction_up = True  # "up" = driving more traffic (M falling)
         self.epochs = 0  # heartbeats observed (obs counter)
@@ -64,14 +71,14 @@ class SystemMonitor:
         if direction_up == self.rate_direction_up:
             self.e += 1
             if self.e >= config.inertia:
-                self.dm = min(self.dm << 1, config.dm_max)
+                self.dm = min(self.dm << 1, DM_MAX)
         else:
             self.e = 0
             self.dm = max(1, self.dm >> 2)
             self.rate_direction_up = direction_up
             self.direction_flips += 1
         if saturated:
-            self.m = min(self.m + self.dm, config.m_max)
+            self.m = min(self.m + self.dm, M_MAX)
         else:
             self.m = max(self.m - self.dm, 0)
         return self.m

@@ -59,22 +59,17 @@ class PabstMechanism(QoSMechanism):
         self.mc_governors: dict[tuple[int, int], Governor] = {}
         self.mc_pacers: dict[tuple[int, int], Pacer] = {}
         self.arbiters: dict[int, PriorityArbiter] = {}
-        self._registry = None
         self._address_map = None
-        self._wb_rr: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # QoSMechanism interface
     # ------------------------------------------------------------------
     def attach(self, system: "System") -> None:
         registry = system.registry
-        self._registry = registry
         self._address_map = system.address_map
-        f_scale = (
-            self.config.f_scale
-            if self.config.f_scale is not None
-            else registry.stride_scale
-        )
+        # F of Eq. 3 is the stride scale, so class_period = M / weight
+        # cycles whatever the stride fixed-point choice
+        f_scale = registry.stride_scale
         if self.enable_governor and self.config.per_controller_governors:
             for core_id, core in system.cores.items():
                 for mc_id in range(system.config.num_mcs):
@@ -112,24 +107,17 @@ class PabstMechanism(QoSMechanism):
             slack = self.config.arbiter_slack_strides * registry.stride_scale
             for controller in system.controllers:
                 self.arbiters[controller.mc_id] = PriorityArbiter(
-                    registry,
-                    slack=slack,
-                    row_hits_first=self.config.row_hits_first,
+                    registry, slack=slack
                 )
 
     def mc_policy(self, mc_id: int) -> SchedulingPolicy | None:
         return self.arbiters.get(mc_id)
 
-    def _pacer_for(self, core_id: int, addr: int) -> Pacer | None:
-        if self.mc_pacers:
-            assert self._address_map is not None
-            return self.mc_pacers.get((core_id, self._address_map.mc_of(addr)))
-        return self.pacers.get(core_id)
-
     def request_release(
         self, core_id: int, req: MemoryRequest, release: Callable[[], None]
     ) -> None:
-        # inlined _pacer_for: this runs once per L2 miss
+        # the pacer lookup is inline, not a helper: this runs once per
+        # L2 miss, where the extra call frame is measurable
         if self.mc_pacers:
             pacer = self.mc_pacers.get(
                 (core_id, self._address_map.mc_of(req.addr))
@@ -143,7 +131,7 @@ class PabstMechanism(QoSMechanism):
             pacer.request(req, release)
 
     def on_response(self, core_id: int, req: MemoryRequest) -> None:
-        # inlined _pacer_for (once per L2-miss response)
+        # same inline lookup as request_release (once per L2-miss response)
         if self.mc_pacers:
             pacer = self.mc_pacers.get(
                 (core_id, self._address_map.mc_of(req.addr))
@@ -156,32 +144,6 @@ class PabstMechanism(QoSMechanism):
             pacer.uncharge()
         elif req.caused_writeback:
             pacer.charge_writeback()
-
-    def charge_class_writeback(self, qos_id: int) -> None:
-        """Owner accounting: charge one of the owning class's pacers.
-
-        Charges rotate round-robin across the class's cores so no single
-        thread absorbs all of the class's writeback budget.
-        """
-        if not self.enable_governor or self._registry is None:
-            return
-        cores = self._registry.cores_in_class(qos_id)
-        if self.mc_pacers:
-            candidates = [
-                key for key in sorted(self.mc_pacers) if key[0] in cores
-            ]
-            if not candidates:
-                return
-            index = self._wb_rr.get(qos_id, 0) % len(candidates)
-            self._wb_rr[qos_id] = index + 1
-            self.mc_pacers[candidates[index]].charge_writeback()
-            return
-        candidates = [c for c in cores if c in self.pacers]
-        if not candidates:
-            return
-        index = self._wb_rr.get(qos_id, 0) % len(candidates)
-        self._wb_rr[qos_id] = index + 1
-        self.pacers[candidates[index]].charge_writeback()
 
     def on_epoch(
         self, saturated: bool, per_mc: tuple[bool, ...] | None = None
@@ -197,49 +159,6 @@ class PabstMechanism(QoSMechanism):
             return
         for governor in self.governors.values():
             governor.on_epoch(saturated)
-        if self.governors and self.config.thread_scaling == "demand":
-            self._rescale_periods_by_demand()
-
-    def _rescale_periods_by_demand(self) -> None:
-        """Section V-B extension: weight Eq. 4 by per-thread demand.
-
-        The paper's mechanism splits a class's allocation evenly across its
-        active threads; a class with one busy and one quiet thread then
-        strands half its share at the busy thread's pacer.  This variant
-        replaces the even split with last-epoch demand weights while
-        preserving the class's total rate:
-
-            period_i = class_period x (total_demand / demand_i)
-
-        A thread's period never exceeds ``IDLE_PERIOD_FACTOR`` times its
-        even-split value, so an idle thread can always restart.
-        """
-        assert self._registry is not None
-        IDLE_PERIOD_FACTOR = 16
-        by_class: dict[int, list[Governor]] = {}
-        for governor in self.governors.values():
-            by_class.setdefault(governor.qos_id, []).append(governor)
-        for qos_id, governors in by_class.items():
-            demands = {
-                g.core_id: g.pacer.take_epoch_demand() for g in governors
-            }
-            total = sum(demands.values())
-            threads = len(governors)
-            if total == 0:
-                continue  # keep the even split this epoch
-            stride = self._registry.stride(qos_id)
-            for governor in governors:
-                m = governor.multiplier
-                even_num = m * stride * threads
-                demand = demands[governor.core_id]
-                if demand == 0:
-                    num = even_num * IDLE_PERIOD_FACTOR
-                else:
-                    num = min(
-                        (m * stride * total) // demand,
-                        even_num * IDLE_PERIOD_FACTOR,
-                    )
-                governor.pacer.set_period(num)
 
     def multiplier(self) -> int:
         for governor in self.governors.values():
@@ -273,8 +192,8 @@ class PabstMechanism(QoSMechanism):
 
     @property
     def obs_writeback_charges(self) -> int:
-        """Writeback charges, whichever accounting mode levied them."""
-        total = self._obs_writebacks
+        """Writeback charges the pacers levied (demand accounting)."""
+        total = 0
         for pacer in self.pacers.values():
             total += pacer.writeback_charges
         for pacer in self.mc_pacers.values():

@@ -56,7 +56,6 @@ class Pacer:
         self.throttled = 0
         self.uncharges = 0
         self.writeback_charges = 0
-        self._demand_since_epoch = 0
 
     # ------------------------------------------------------------------
     # configuration
@@ -84,20 +83,8 @@ class Pacer:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def take_epoch_demand(self) -> int:
-        """Requests that arrived since the last call (demand estimator).
-
-        Feeds the heterogeneous thread-scaling extension (Section V-B):
-        the mechanism reads each source's demand once per epoch to weight
-        the class allocation across its threads.
-        """
-        demand = self._demand_since_epoch
-        self._demand_since_epoch = 0
-        return demand
-
     def request(self, req: MemoryRequest, release: Callable[[], None]) -> None:
         """Ask to issue ``req``; ``release`` fires when the pacer allows it."""
-        self._demand_since_epoch += 1
         # inlined _allowed_now() + _charge(): this runs once per L2 miss
         # across every core, where the three helper frames are measurable
         now_scaled = self._engine._now * self._den

@@ -21,17 +21,10 @@ __all__ = ["SaturationMonitor"]
 class SaturationMonitor:
     """Wired-OR of per-controller queue-occupancy threshold checks."""
 
-    def __init__(
-        self,
-        controllers: Sequence[MemoryController],
-        threshold_fraction: float = 0.5,
-    ) -> None:
+    def __init__(self, controllers: Sequence[MemoryController]) -> None:
         if not controllers:
             raise ValueError("need at least one memory controller")
-        if not 0.0 < threshold_fraction <= 1.0:
-            raise ValueError("threshold_fraction must be in (0, 1]")
         self._controllers = list(controllers)
-        self._threshold_fraction = threshold_fraction
         self.last_occupancies: list[float] = [0.0] * len(self._controllers)
         self.last_signals: list[bool] = [False] * len(self._controllers)
         self.last_signal = False
@@ -47,8 +40,7 @@ class SaturationMonitor:
         for index, controller in enumerate(self._controllers):
             occupancy = controller.sample_read_occupancy()
             self.last_occupancies[index] = occupancy
-            threshold = self._threshold_fraction * controller.read_queue_capacity
-            signal = occupancy > threshold
+            signal = occupancy > 0.5 * controller.read_queue_capacity
             self.last_signals[index] = signal
             saturated = saturated or signal
         self.last_signal = saturated

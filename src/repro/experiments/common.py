@@ -10,7 +10,7 @@ shrink core counts and epochs for CI-speed runs.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.analysis.timeline import BandwidthTimeline
@@ -27,7 +27,6 @@ __all__ = [
     "ClassSpec",
     "RunResult",
     "build_system",
-    "config_overrides",
     "run_system",
     "sanitized",
     "traced",
@@ -52,32 +51,8 @@ def sanitized(enabled: bool = True) -> Iterator[None]:
         _default_sanitize = previous
 
 
-# SystemConfig field overrides applied to every system built inside a
-# :func:`config_overrides` block.  Same pattern as ``sanitized``: the
-# runner threads sweep-wide config tweaks through all nine fig* modules
-# without changing their signatures.
-_default_overrides: dict[str, object] = {}
-
-
-@contextmanager
-def config_overrides(**overrides: object) -> Iterator[None]:
-    """Override :class:`SystemConfig` fields for systems built inside.
-
-    Unknown field names raise at build time (``dataclasses.replace``
-    validates against the config's fields).  Overrides nest: inner blocks
-    shadow outer ones field-by-field.
-    """
-    global _default_overrides
-    previous = _default_overrides
-    _default_overrides = {**previous, **overrides}
-    try:
-        yield
-    finally:
-        _default_overrides = previous
-
-
 # Request tracer and epoch metric sinks attached to every system built
-# inside a :func:`traced` block.  Third instance of the ambient-default
+# inside a :func:`traced` block.  Second instance of the ambient-default
 # pattern: `repro trace fig05` wires observability into a whole figure
 # run without the fig* modules knowing the tracer exists.
 _default_tracer: "RequestTracer | None" = None
@@ -137,8 +112,6 @@ def build_system(
     total_cores = sum(spec.cores for spec in specs)
     if config is None:
         config = SystemConfig.default_experiment(cores=total_cores, num_mcs=2)
-    if _default_overrides:
-        config = replace(config, **_default_overrides)
     if total_cores > config.cores:
         raise ValueError(
             f"specs need {total_cores} cores, config has {config.cores}"

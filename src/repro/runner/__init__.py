@@ -6,7 +6,7 @@ The nine ``fig*`` experiment modules each expose their grid as
 
 * :mod:`repro.runner.spec` — :class:`RunSpec`, a content-hashed
   description of one cell run (figure, cell kwargs, seed, quick mode,
-  config overrides);
+  backend);
 * :mod:`repro.runner.pool` — process-pool fan-out with per-spec
   timeouts, failure isolation, and a sequential fallback;
 * :mod:`repro.runner.cache` — an on-disk result cache keyed by spec

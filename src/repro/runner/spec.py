@@ -1,10 +1,10 @@
 """Run specifications: content-hashed descriptions of one experiment run.
 
 A :class:`RunSpec` pins everything that determines a run's output —
-figure, cell kwargs, seed, quick mode, and any :class:`SystemConfig`
-overrides.  Because the simulator is bit-deterministic, two specs with
-equal content hashes produce byte-identical reports, which is what makes
-the on-disk result cache (:mod:`repro.runner.cache`) sound.
+figure, cell kwargs, seed, quick mode and backend.  Because the
+simulator is bit-deterministic, two specs with equal content hashes
+produce byte-identical reports, which is what makes the on-disk result
+cache (:mod:`repro.runner.cache`) sound.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ class RunSpec:
     """One cell of one figure's grid, fully pinned.
 
     ``cell`` holds extra kwargs for the figure's ``run()`` beyond
-    ``quick``/``seed`` (e.g. ``{"workloads": ("mcf",)}``); ``overrides``
-    holds :class:`SystemConfig` field replacements applied through
-    :func:`repro.experiments.common.config_overrides`.
+    ``quick``/``seed`` (e.g. ``{"workloads": ("mcf",)}``).
     """
 
     figure: str
     cell: Mapping[str, Any] = field(default_factory=dict)
     seed: int = 0
     quick: bool = True
-    overrides: Mapping[str, Any] = field(default_factory=dict)
     #: Execution backend, already resolved ("pure" or "c" — never
     #: "auto"; the CLI resolves before building specs).  Backends are
     #: byte-identical by contract, but the identity still enters the
@@ -61,7 +58,6 @@ class RunSpec:
             "cell": _canonical(self.cell),
             "seed": self.seed,
             "quick": self.quick,
-            "overrides": _canonical(self.overrides),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -86,7 +82,6 @@ class RunSpec:
         """Plain-dict form that crosses the process-pool boundary."""
         payload = asdict(self)
         payload["cell"] = dict(self.cell)
-        payload["overrides"] = dict(self.overrides)
         return payload
 
     @classmethod
@@ -97,7 +92,6 @@ class RunSpec:
             cell=dict(payload["cell"]),
             seed=payload["seed"],
             quick=payload["quick"],
-            overrides=dict(payload["overrides"]),
             backend=payload["backend"],
         )
 
@@ -106,7 +100,6 @@ def specs_for_figure(
     figure: str,
     quick: bool = True,
     seed: int = 0,
-    overrides: Mapping[str, Any] | None = None,
     backend: str = "pure",
 ) -> list[RunSpec]:
     """Expand one figure's ``sweep_cells`` grid into :class:`RunSpec` s."""
@@ -120,7 +113,6 @@ def specs_for_figure(
             cell=cell,
             seed=seed,
             quick=quick,
-            overrides=dict(overrides or {}),
             backend=backend,
         )
         for cell in cells

@@ -61,7 +61,6 @@ def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
 def execute_spec(spec: RunSpec) -> dict[str, Any]:
     """Run one :class:`RunSpec` in-process and time it."""
     from repro import accel
-    from repro.experiments.common import config_overrides
     from repro.sim.engine import dispatched_total
 
     # Backend selection wraps the whole run, construction included;
@@ -73,7 +72,7 @@ def execute_spec(spec: RunSpec) -> dict[str, Any]:
     kwargs = _run_kwargs(spec.cell)
     events_before = dispatched_total()
     started = time.perf_counter()
-    with backing, config_overrides(**dict(spec.overrides)):
+    with backing:
         result = module.run(quick=spec.quick, seed=spec.seed, **kwargs)
     wall = time.perf_counter() - started
     events = dispatched_total() - events_before

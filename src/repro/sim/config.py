@@ -54,22 +54,15 @@ class SystemConfig:
     page_policy: str = PagePolicy.CLOSED
     dram: DramTiming = field(default_factory=DramTiming.ddr4_2400)
 
-    # QoS control quantum and saturation setpoint (Section III-C1: SAT is
-    # raised when average read-queue occupancy exceeds this fraction of
-    # the queue capacity; the paper uses one half)
+    # QoS control quantum (the SAT setpoint, half the read queue, is fixed
+    # by Section III-C1; see repro.core.saturation)
     epoch_cycles: int = 2000
-    sat_threshold_fraction: float = 0.5
 
     # How lines interleave across memory controllers: "hash" is the
     # uniform address hash the paper assumes; "low-bits" maps by low line
     # bits, letting strided workloads concentrate on one controller (used
     # to evaluate the per-controller-governor alternative of III-C1).
     mc_interleave: str = "hash"
-
-    # Who pays for a dirty L3 eviction's memory write (Section V-C):
-    # "demand" charges the class whose incoming request caused the eviction
-    # (the paper's choice), "owner" charges the class that wrote the data.
-    writeback_accounting: str = "demand"
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
@@ -91,12 +84,6 @@ class SystemConfig:
             raise ValueError("write_high_watermark exceeds the write queue")
         if self.epoch_cycles <= 0:
             raise ValueError("epoch_cycles must be positive")
-        if not 0.0 < self.sat_threshold_fraction <= 1.0:
-            raise ValueError("sat_threshold_fraction must be in (0, 1]")
-        if self.writeback_accounting not in ("demand", "owner"):
-            raise ValueError(
-                f"unknown writeback accounting {self.writeback_accounting!r}"
-            )
         if self.mc_interleave not in ("hash", "low-bits"):
             raise ValueError(f"unknown mc_interleave {self.mc_interleave!r}")
         for name in ("l2_assoc", "l3_assoc", "l2_mshrs", "banks_per_mc"):

@@ -12,7 +12,7 @@ mechanisms in :mod:`repro.mechanisms`, or nothing at all.  The
 * ``mc_policy``          — scheduling policy for each memory controller;
 * ``request_release``    — an L2 miss wants to enter the NoC (pacer point);
 * ``on_response``        — a response reached the source (L3-hit undo and
-                           writeback charging);
+                           demand writeback charging, Section V-C);
 * ``on_epoch``           — the epoch heartbeat with the wired-OR SAT value.
 
 The base class implements the do-nothing mechanism, which doubles as the
@@ -20,11 +20,13 @@ no-QoS baseline.
 
 Every mechanism also reports a uniform ``mechanism.*`` counter namespace
 on the obs registry (epochs seen, releases granted/denied, writeback
-charges).  The counters are maintained by the base-class hooks, so a
-subclass that overrides a hook must either call ``super()`` or account
-for the event itself — otherwise its arena columns read zero.  PABST
-derives the release counters from its pacers instead (see
-:meth:`repro.core.pabst.PabstMechanism.obs_releases_granted`).
+charges).  The epoch and release counters are maintained by the
+base-class hooks, so a subclass that overrides a hook must either call
+``super()`` or account for the event itself — otherwise its arena columns
+read zero.  PABST derives the release and writeback counters from its
+pacers instead (see
+:meth:`repro.core.pabst.PabstMechanism.obs_releases_granted`); only a
+pacer charges writebacks, so the base reports none.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class QoSMechanism:
     _obs_epochs = 0
     _obs_granted = 0
     _obs_denied = 0
-    _obs_writebacks = 0
 
     def prepare_config(
         self, config: "SystemConfig", registry: "QoSRegistry"
@@ -86,15 +87,6 @@ class QoSMechanism:
 
     def on_response(self, core_id: int, req: MemoryRequest) -> None:
         """A response arrived back at its source tile."""
-
-    def charge_class_writeback(self, qos_id: int) -> None:
-        """Charge one writeback to a class directly (owner accounting).
-
-        Used only when the system runs ``writeback_accounting="owner"``
-        (Section V-C alternative); the default demand accounting charges
-        through the response flag instead.
-        """
-        self._obs_writebacks += 1
 
     def on_epoch(
         self, saturated: bool, per_mc: tuple[bool, ...] | None = None
@@ -134,7 +126,7 @@ class QoSMechanism:
     @property
     def obs_writeback_charges(self) -> int:
         """Writebacks charged against a class's allocation."""
-        return self._obs_writebacks
+        return 0
 
     def bound_report(self) -> dict | None:
         """Worst-case guarantee check, for WCET-style mechanisms.

@@ -101,7 +101,6 @@ class System:
         self._line_shift = self.address_map._line_shift
         self._l2_latency = config.l2_latency
         self._line_bytes = config.line_bytes
-        self._wb_demand = config.writeback_accounting == "demand"
         # Cumulative route-delay tables for the fused injection fast path:
         # the L2-miss hop chains have no arbitration point, so their total
         # latency is a pure lookup at injection time.
@@ -186,9 +185,7 @@ class System:
                 respond=self._enqueue_response,
             )
 
-        self.saturation = SaturationMonitor(
-            self.controllers, threshold_fraction=config.sat_threshold_fraction
-        )
+        self.saturation = SaturationMonitor(self.controllers)
         self.bandwidth_monitor = BandwidthMonitor(
             self.stats, peak_bytes_per_cycle=config.peak_bandwidth
         )
@@ -370,7 +367,7 @@ class System:
         )
         req.created_at = self.engine._now
         req.l3_hit = outcome.level is HitLevel.L3
-        req.caused_writeback = self._wb_demand and bool(outcome.mem_writebacks)
+        req.caused_writeback = bool(outcome.mem_writebacks)
         if self.engine.sanitizer is not None:
             self.engine.sanitizer.on_inject(req)
         if self.engine.tracer is not None:
@@ -400,27 +397,20 @@ class System:
         _, mc_id, req.bank_id, req.row_id = self._decode(req.addr)
         req.mc_id = mc_id
         engine.post(self._miss_delay[core_id][slice_tile][mc_id], self._deliver, req)
-        for writeback in outcome.mem_writebacks:
-            self._send_writeback(core, writeback, slice_tile)
+        for line_addr in outcome.mem_writebacks:
+            self._send_writeback(core, line_addr, slice_tile)
 
-    def _send_writeback(self, core: Core, info, slice_tile: int) -> None:
+    def _send_writeback(self, core: Core, addr: int, slice_tile: int) -> None:
         """Dirty L3 eviction: a memory write, attributed per Section V-C.
 
-        Under ``demand`` accounting (the paper's choice) the triggering
-        class pays — both in bandwidth attribution and via the response
-        flag that makes its pacer charge an extra period.  Under ``owner``
-        accounting the class that wrote the data pays, and its pacers are
-        charged directly.
+        The class whose demand caused the eviction pays, both in bandwidth
+        attribution and via the response flag that makes its pacer charge
+        an extra period (:meth:`_launch` sets ``caused_writeback``).
         """
-        if self.config.writeback_accounting == "owner":
-            qos_id = info.owner_qos_id
-            self.mechanism.charge_class_writeback(qos_id)
-        else:
-            qos_id = core.qos_id
         wb = MemoryRequest(
-            addr=info.addr,
+            addr=addr,
             access=AccessType.WRITEBACK,
-            qos_id=qos_id,
+            qos_id=core.qos_id,
             core_id=core.core_id,
             size=self.config.line_bytes,
         )
@@ -428,7 +418,7 @@ class System:
         wb.released_at = self.engine._now
         wb.noc_seq = self._noc_seq
         self._noc_seq += 1
-        _, wb.mc_id, wb.bank_id, wb.row_id = self._decode(info.addr)
+        _, wb.mc_id, wb.bank_id, wb.row_id = self._decode(addr)
         if self.engine.sanitizer is not None:
             self.engine.sanitizer.on_inject(wb)
         if self.engine.tracer is not None:

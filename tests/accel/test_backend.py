@@ -69,6 +69,16 @@ def test_missing_compiler_counts_the_auto_fallback_once(no_compiler):
     assert warning_counts() == {"accel.auto_fallback": 1}
 
 
+def test_accel_info_verb_does_not_count_a_fallback(no_compiler, capsys):
+    from repro import cli
+
+    assert cli.main(["accel"]) == 0
+    captured = capsys.readouterr()
+    assert "auto resolves to: pure" in captured.out
+    assert "falls back" not in captured.err
+    assert warning_counts() == {}
+
+
 def test_native_manifest_loads_without_the_linter():
     # The build fingerprint folds in the manifest digest on every c/auto
     # resolve; reading the manifest must not drag in repro.devtools.

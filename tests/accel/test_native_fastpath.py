@@ -30,7 +30,6 @@ def _payload(figure: str, backend: str) -> dict:
         "backend": backend,
         "cell": {},
         "seed": 0,
-        "overrides": [],
     }
 
 

@@ -69,13 +69,13 @@ class TestWritebacks:
         hierarchy, config = make_hierarchy()
         writebacks = self._fill_class_ways(hierarchy, config, 0, 0, is_write=True)
         assert len(writebacks) > 0
-        # writebacks are line-aligned and attributed to their owner
-        assert all(wb.addr % config.line_bytes == 0 for wb in writebacks)
-        assert all(wb.owner_qos_id == 0 for wb in writebacks)
+        # writebacks are line addresses
+        assert all(addr % config.line_bytes == 0 for addr in writebacks)
 
-    def test_writeback_owner_tracked_across_classes(self):
-        """A clean streamer evicting another class's dirty lines reports
-        the *owner* so Section V-C accounting policies can differ."""
+    def test_clean_stream_writes_back_other_class_lines(self):
+        """A clean streamer evicting another class's dirty lines pushes
+        them to memory from its own accesses: the evictions Section V-C
+        charges to the demanding class."""
         config = SystemConfig.small_test()
         hierarchy, _ = make_hierarchy(config=config)
         # class 7 dirties a footprint roughly the size of the L3
@@ -83,11 +83,12 @@ class TestWritebacks:
         for i in range(total_lines):
             hierarchy.access(0, i * 64, True, qos_id=7)
         # class 1 streams cleanly far past the cache, evicting 7's lines
-        owners = set()
+        written = set()
         for i in range(total_lines * 3):
             outcome = hierarchy.access(1, (1 << 30) + i * 64, False, qos_id=1)
-            owners.update(wb.owner_qos_id for wb in outcome.mem_writebacks)
-        assert 7 in owners
+            written.update(outcome.mem_writebacks)
+        assert written
+        assert all(addr < total_lines * 64 for addr in written)
 
 
 class TestPartitionIsolation:

@@ -11,38 +11,42 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.config import PabstConfig
-from repro.core.governor import Governor, SystemMonitor
+from repro.core.governor import DM_MAX, M_MAX, Governor, SystemMonitor
 from repro.core.pacer import Pacer
 from repro.qos.classes import QoSRegistry
 from repro.sim.engine import Engine
 
 
-def make_monitor(**kwargs):
-    return SystemMonitor(PabstConfig(**kwargs))
+def make_monitor(m=None, **kwargs):
+    monitor = SystemMonitor(PabstConfig(**kwargs))
+    if m is not None:
+        monitor.m = m
+    return monitor
 
 
 class TestDirection:
     def test_m_rises_on_saturation(self):
-        monitor = make_monitor(m_init=10)
+        monitor = make_monitor(m=10)
         monitor.on_epoch(saturated=True)
         assert monitor.m > 10
 
     def test_m_falls_when_unsaturated(self):
-        monitor = make_monitor(m_init=10)
+        monitor = make_monitor(m=10)
         monitor.on_epoch(saturated=False)
         assert monitor.m < 10
 
     def test_m_never_negative(self):
-        monitor = make_monitor(m_init=0)
+        monitor = make_monitor()
+        assert monitor.m == 0
         for _ in range(10):
             monitor.on_epoch(saturated=False)
         assert monitor.m == 0
 
     def test_m_capped_at_max(self):
-        monitor = make_monitor(m_init=0, m_max=100)
+        monitor = make_monitor()
         for _ in range(200):
             monitor.on_epoch(saturated=True)
-        assert monitor.m == 100
+        assert monitor.m == M_MAX
 
 
 class TestDeltaM:
@@ -54,7 +58,7 @@ class TestDeltaM:
             dms.append(monitor.dm)
         # once E reaches inertia the step doubles every epoch
         assert dms[-1] > dms[2]
-        assert dms[-1] == min(2 * dms[-2], PabstConfig().dm_max)
+        assert dms[-1] == min(2 * dms[-2], DM_MAX)
 
     def test_dm_shrinks_on_direction_flip(self):
         monitor = make_monitor(inertia=2)
@@ -71,10 +75,10 @@ class TestDeltaM:
         assert monitor.dm >= 1
 
     def test_dm_capped(self):
-        monitor = make_monitor(dm_max=16)
+        monitor = make_monitor()
         for _ in range(50):
             monitor.on_epoch(saturated=True)
-        assert monitor.dm == 16
+        assert monitor.dm == DM_MAX
 
     def test_noisy_sat_keeps_steps_small(self):
         """Alternating SAT (system near equilibrium) pins delta-M low."""
@@ -121,8 +125,8 @@ class TestLockstep:
         monitor = SystemMonitor(config)
         for signal in sat:
             monitor.on_epoch(signal)
-            assert 0 <= monitor.m <= config.m_max
-            assert 1 <= monitor.dm <= config.dm_max
+            assert 0 <= monitor.m <= M_MAX
+            assert 1 <= monitor.dm <= DM_MAX
 
 
 class TestGovernorRateGeneration:
@@ -152,6 +156,12 @@ class TestGovernorRateGeneration:
         hi = next(g for g in governors if g.qos_id == 0)
         lo = next(g for g in governors if g.qos_id == 1)
         assert hi.multiplier == lo.multiplier
+        # Eq. 4 splits a class's rate evenly: its threads share one period
+        for qos_id in (0, 1):
+            periods = {
+                g.source_period_numerator() for g in governors if g.qos_id == qos_id
+            }
+            assert len(periods) == 1
         ratio = lo.source_period_numerator() / hi.source_period_numerator()
         assert ratio == pytest.approx(3.0, rel=0.02)
 

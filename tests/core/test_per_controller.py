@@ -41,12 +41,6 @@ def make_system(per_controller: bool, skewed: bool = False, cores=4):
     return system, mechanism
 
 
-class TestConfigValidation:
-    def test_demand_scaling_incompatible(self):
-        with pytest.raises(ValueError):
-            PabstConfig(per_controller_governors=True, thread_scaling="demand")
-
-
 class TestAttachment:
     def test_one_governor_per_core_per_mc(self):
         system, mechanism = make_system(per_controller=True)

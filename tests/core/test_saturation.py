@@ -80,10 +80,3 @@ class TestValidation:
     def test_needs_controllers(self):
         with pytest.raises(ValueError):
             SaturationMonitor([])
-
-    def test_threshold_fraction_range(self):
-        engine, controllers, _ = make_controllers()
-        with pytest.raises(ValueError):
-            SaturationMonitor(controllers, threshold_fraction=0.0)
-        with pytest.raises(ValueError):
-            SaturationMonitor(controllers, threshold_fraction=1.5)

@@ -71,32 +71,15 @@ class TestSequentialSweep:
         assert outcomes[1].ok
         assert len(cache) == 1  # only the success was stored
 
-    def test_bad_config_override_fails_cleanly(self, tmp_path):
-        spec = RunSpec(figure="fig05", overrides={"no_such_field": 1})
-        outcomes = run_specs([spec], cache=ResultCache(tmp_path / "c"))
-        assert not outcomes[0].ok
-
-    def test_overrides_change_the_run(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        base = RunSpec(figure="fig05")
-        tweaked = RunSpec(figure="fig05", overrides={"epoch_cycles": 1000})
-        outcomes = run_specs([base, tweaked], cache=cache)
-        assert all(o.ok for o in outcomes)
-        assert outcomes[0].result["report"] != outcomes[1].result["report"]
-
 
 class TestBrokenPool:
     """A worker killed mid-cell breaks the pool; the sweep still finishes."""
 
-    #: Tiny epochs so each cell's simulated window stays in the
-    #: milliseconds; the fallback under test is scale-free.
+    #: The shortest measurement windows: the fallback under test is
+    #: scale-free.
     SPECS = [
-        RunSpec(
-            figure="fig05",
-            cell={"measure_epochs": length},
-            overrides={"epoch_cycles": 400},
-        )
-        for length in (5, 8)
+        RunSpec(figure="fig05", cell={"measure_epochs": length})
+        for length in (1, 2)
     ]
 
     @pytest.fixture(autouse=True)

@@ -16,10 +16,6 @@ class TestSpecHash:
         assert base.spec_hash() != RunSpec(figure="fig05", quick=False).spec_hash()
         assert (
             base.spec_hash()
-            != RunSpec(figure="fig05", overrides={"epoch_cycles": 500}).spec_hash()
-        )
-        assert (
-            base.spec_hash()
             != RunSpec(figure="fig05", cell={"workloads": ("mcf",)}).spec_hash()
         )
 
@@ -56,7 +52,6 @@ class TestSpecHash:
             cell={"mixes": ("stream",), "mechanisms": ("pabst",)},
             seed=3,
             quick=False,
-            overrides={"epoch_cycles": 1000},
         )
         again = RunSpec.from_payload(spec.to_payload())
         assert again.spec_hash() == spec.spec_hash()

@@ -54,10 +54,9 @@ class TestUniformCounters:
         req = MemoryRequest(addr=0, access=AccessType.READ, qos_id=0, core_id=0)
         mechanism.request_release(0, req, lambda: None)
         mechanism.request_release(0, req, lambda: None)
-        mechanism.charge_class_writeback(0)
         mechanism.on_epoch(saturated=False)
         assert mechanism.obs_releases_granted == 2
-        assert mechanism.obs_writeback_charges == 1
+        assert mechanism.obs_writeback_charges == 0
         assert mechanism.obs_epochs == 1
 
     def test_counters_are_per_instance(self):
