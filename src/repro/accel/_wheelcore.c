@@ -52,7 +52,7 @@ static PyObject *s_prep_hit, *s_prep_miss;
 static PyObject *s_popleft, *s_release_token, *s_blocked, *s_den;
 static PyObject *s_period_num, *s_cnext_scaled, *s_released;
 /* native fast path: controller */
-static PyObject *s_pass_token, *s_pass_at, *s_draining_writes;
+static PyObject *s_pass_cycles, *s_pass_at, *s_draining_writes;
 static PyObject *s_read_queue, *s_write_queue, *s_wm_low, *s_wm_high;
 static PyObject *s_banks, *s_uniform_prep, *s_bus, *s_free_at;
 static PyObject *s_busy_cycles, *s_transfers, *s_burst, *s_busy_until;
@@ -953,7 +953,7 @@ mod_filter_ready(PyObject *module, PyObject *args)
 /* native event fast path                                             */
 /*                                                                    */
 /* The dominant event callbacks (pacer release chains, controller     */
-/* pass tokens and completions, the system's NoC delivery/response    */
+/* passes and completions, the system's NoC delivery/response         */
 /* pumps) are transcribed below as C handlers keyed by "kind": the    */
 /* dispatch loops recognize an entry's bound-method callback by       */
 /* (function pointer, exact owner class, owner engine == self) and    */
@@ -1521,30 +1521,38 @@ decline:
     return 0;
 }
 
-/* The arm tail shared by _request_pass and _schedule_wakeup: post
- * (self._run_pass, (token,)) at `when` (wheel insert or overflow). */
+/* The arm tail shared by _request_pass and _schedule_wakeup: set
+ * _pass_at = when and, unless `when` already has a queued pass event
+ * (it is in _pass_cycles), add it and post (self._run_pass, ()) at
+ * `when` (wheel insert or overflow). */
 static int
-ctrl_arm_pass(WheelCore *self, PyObject *owner, long long when,
-              long long token)
+ctrl_arm_pass(WheelCore *self, PyObject *owner, long long when)
 {
+    PyObject *when_obj = PyLong_FromLongLong(when);
+    if (when_obj == NULL)
+        return -1;
+    if (fast_setattr(owner, s_pass_at, when_obj) < 0) {
+        Py_DECREF(when_obj);
+        return -1;
+    }
+    PyObject *cycles = fast_getattr(owner, s_pass_cycles);
+    if (cycles == NULL) {
+        Py_DECREF(when_obj);
+        return -1;
+    }
+    int queued = PySet_Contains(cycles, when_obj);
+    if (queued == 0)
+        queued = PySet_Add(cycles, when_obj) < 0 ? -1 : 0;
+    Py_DECREF(cycles);
+    Py_DECREF(when_obj);
+    if (queued != 0)
+        return queued < 0 ? -1 : 0;
     PyObject *run_pass = g_fn_run_pass != NULL
                              ? PyMethod_New(g_fn_run_pass, owner)
                              : PyObject_GetAttr(owner, s_run_pass_name);
     if (run_pass == NULL)
         return -1;
-    PyObject *token_obj = PyLong_FromLongLong(token);
-    if (token_obj == NULL) {
-        Py_DECREF(run_pass);
-        return -1;
-    }
-    PyObject *args = PyTuple_Pack(1, token_obj);
-    Py_DECREF(token_obj);
-    if (args == NULL) {
-        Py_DECREF(run_pass);
-        return -1;
-    }
-    int rc = core_post_call(self, when, run_pass, args);
-    Py_DECREF(args);
+    int rc = core_post_call(self, when, run_pass, g_empty_tuple);
     Py_DECREF(run_pass);
     return rc;
 }
@@ -1567,15 +1575,7 @@ ctrl_request_pass(WheelCore *self, PyObject *owner, long long when)
     } else {
         Py_DECREF(pass_at);
     }
-    if (set_ll_attr(owner, s_pass_at, when) < 0)
-        return -1;
-    long long token;
-    if (get_ll_attr(owner, s_pass_token, &token) < 0)
-        return -1;
-    token += 1;
-    if (set_ll_attr(owner, s_pass_token, token) < 0)
-        return -1;
-    return ctrl_arm_pass(self, owner, when, token);
+    return ctrl_arm_pass(self, owner, when);
 }
 
 /* defined in the System section / after the kind table */
@@ -1925,17 +1925,9 @@ ctrl_schedule_wakeup(WheelCore *self, PyObject *owner, CtrlState *st)
         wake = bus_gate;
     if (wake == FAR_LL)
         return 0;
-    /* _run_pass cleared _pass_at, so arm unconditionally (inlined
-     * _request_pass without the coalescing early-out) */
-    if (set_ll_attr(owner, s_pass_at, wake) < 0)
-        return -1;
-    long long token;
-    if (get_ll_attr(owner, s_pass_token, &token) < 0)
-        return -1;
-    token += 1;
-    if (set_ll_attr(owner, s_pass_token, token) < 0)
-        return -1;
-    return ctrl_arm_pass(self, owner, wake, token);
+    /* _run_pass cleared _pass_at, so the coalescing early-out of
+     * _request_pass can never take */
+    return ctrl_arm_pass(self, owner, wake);
 }
 
 /* controller.try_enqueue(req) through the ordinary Python call */
@@ -2507,35 +2499,58 @@ fail:
     return -1;
 }
 
-/* kind: MemoryController._run_pass(token) */
+/* kind: MemoryController._run_pass() */
 static int
 kind_mc_run_pass(WheelCore *self, PyObject *owner, PyObject *cb,
                  PyObject *args)
 {
     (void)cb;
-    if (PyTuple_GET_SIZE(args) != 1 ||
-        !PyLong_CheckExact(PyTuple_GET_ITEM(args, 0)))
+    if (PyTuple_GET_SIZE(args) != 0)
         return 0;
-    long long token;
-    if (ll_from(PyTuple_GET_ITEM(args, 0), &token) < 0)
-        return -1;
     if (owner_shadows(owner, g_shadow_ctrl, g_shadow_ctrl_n))
         return 0;
-    PyObject *pass_token = fast_getattr(owner, s_pass_token);
-    if (pass_token == NULL) {
+    /* self._pass_cycles.discard(now): idempotent, so a decline below
+     * leaves the Python body to repeat it harmlessly */
+    {
+        PyObject *cycles = fast_getattr(owner, s_pass_cycles);
+        if (cycles == NULL) {
+            PyErr_Clear();
+            return 0;
+        }
+        if (!PySet_CheckExact(cycles)) {
+            Py_DECREF(cycles);
+            return 0;
+        }
+        PyObject *now_obj = PyLong_FromLongLong(self->now);
+        if (now_obj == NULL) {
+            Py_DECREF(cycles);
+            return -1;
+        }
+        int rc = PySet_Discard(cycles, now_obj);
+        Py_DECREF(now_obj);
+        Py_DECREF(cycles);
+        if (rc < 0)
+            return -1;
+    }
+    PyObject *pass_at = fast_getattr(owner, s_pass_at);
+    if (pass_at == NULL) {
         PyErr_Clear();
         return 0;
     }
-    if (!PyLong_CheckExact(pass_token)) {
-        Py_DECREF(pass_token);
+    if (pass_at == Py_None) {
+        Py_DECREF(pass_at);
+        return 1; /* superseded: a handled no-op, exactly like pure */
+    }
+    if (!PyLong_CheckExact(pass_at)) {
+        Py_DECREF(pass_at);
         return 0;
     }
-    long long current;
-    int rc = ll_from(pass_token, &current);
-    Py_DECREF(pass_token);
+    long long armed;
+    int rc = ll_from(pass_at, &armed);
+    Py_DECREF(pass_at);
     if (rc < 0)
         return -1;
-    if (token != current)
+    if (armed != self->now)
         return 1; /* superseded: a handled no-op, exactly like pure */
     /* Run the cheap early phases before the full container preflight:
      * the mutations here (_pass_at, draining_writes) are idempotent, so
@@ -2816,6 +2831,37 @@ sys_on_mc_space_native(WheelCore *self, PyObject *owner,
     PyObject *armed_outer = NULL, *armed = NULL;
     if (owner_shadows(owner, g_shadow_system, g_shadow_system_n))
         return 0;
+    /* no backlog (no read source, no pending write): nothing to admit,
+     * so no hint and no pump */
+    {
+        PyObject *sources_outer = NULL, *sources = NULL;
+        PyObject *writes_outer = NULL, *writes = NULL;
+        int rc = sys_slot(owner, s_mc_read_sources, mc_id, &sources_outer,
+                          &sources);
+        if (rc <= 0)
+            return rc;
+        rc = sys_slot(owner, s_mc_pending_writes, mc_id, &writes_outer,
+                      &writes);
+        if (rc <= 0) {
+            Py_DECREF(sources_outer);
+            return rc;
+        }
+        int backlog = -1;
+        if (PyList_CheckExact(sources) &&
+            (PyObject *)Py_TYPE(writes) == g_cls_deque) {
+            Py_ssize_t pending = PyObject_Size(writes);
+            if (pending >= 0)
+                backlog = PyList_GET_SIZE(sources) > 0 || pending > 0;
+        }
+        Py_DECREF(writes_outer);
+        Py_DECREF(sources_outer);
+        if (backlog < 0) {
+            PyErr_Clear();
+            return 0;
+        }
+        if (!backlog)
+            return 1;
+    }
     int rc = sys_slot(owner, s_mc_space_hint, mc_id, &hint_outer, &hint);
     if (rc <= 0)
         return rc;
@@ -3694,7 +3740,7 @@ intern_all(void)
     INTERN(s_cnext_scaled, "_cnext_scaled");
     INTERN(s_released, "released");
     /* controller */
-    INTERN(s_pass_token, "_pass_token");
+    INTERN(s_pass_cycles, "_pass_cycles");
     INTERN(s_pass_at, "_pass_at");
     INTERN(s_draining_writes, "_draining_writes");
     INTERN(s_read_queue, "read_queue");

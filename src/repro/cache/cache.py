@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.partition import WayPartition
-from repro.cache.replacement import LruPolicy, make_policy
 
 __all__ = ["CacheLine", "LookupResult", "SetAssociativeCache"]
 
@@ -45,7 +44,7 @@ _MISS = LookupResult(hit=False)
 
 
 class SetAssociativeCache:
-    """A write-back, write-allocate set-associative cache.
+    """A write-back, write-allocate set-associative cache with true LRU.
 
     Parameters
     ----------
@@ -54,8 +53,6 @@ class SetAssociativeCache:
     partition:
         Optional :class:`WayPartition` restricting which ways each QoS class
         may allocate into.  Hits in any way still count (CAT semantics).
-    replacement:
-        Policy name understood by :func:`repro.cache.replacement.make_policy`.
     """
 
     def __init__(
@@ -65,8 +62,6 @@ class SetAssociativeCache:
         assoc: int,
         line_bytes: int = 64,
         partition: WayPartition | None = None,
-        replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         if num_sets <= 0 or num_sets & (num_sets - 1):
             raise ValueError(f"num_sets must be a power of two, got {num_sets}")
@@ -81,13 +76,12 @@ class SetAssociativeCache:
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = num_sets - 1
         self.partition = partition
-        self._policy = make_policy(replacement, num_sets, assoc, seed)
-        # hot-path shortcuts: LRU victim selection is fused into _fill
-        self._lru = self._policy if isinstance(self._policy, LruPolicy) else None
         self._all_ways = tuple(range(assoc))
-        self._ways: list[list[CacheLine | None]] = [
-            [None] * assoc for _ in range(num_sets)
-        ]
+        # Per set, the occupied ways in recency order, least recent first,
+        # each mapped to its resident line.  A hit re-inserts its way at the
+        # end, so the LRU victim is the first allowed key: O(1) without a
+        # partition, where a per-way stamp scan cost O(assoc) per fill.
+        self._sets: list[dict[int, CacheLine]] = [{} for _ in range(num_sets)]
         # Tag store: line number (addr >> line_shift) -> resident way.  The
         # line number embeds the set bits, so one flat dict replaces the
         # per-set associative scan on every probe.
@@ -116,7 +110,7 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no recency update)."""
-        return self._find(addr)[1] is not None
+        return (addr >> self._line_shift) in self._where
 
     def access(self, addr: int, is_write: bool, qos_id: int, allocate: bool = True) -> LookupResult:
         """Perform a demand access.
@@ -124,66 +118,62 @@ class SetAssociativeCache:
         On a miss with ``allocate=True`` the line is filled and a victim may
         be returned; a dirty victim means the caller must emit a writeback.
         """
-        # inlined _find()/line_addr(): this is the hottest entry point of
-        # the cache model (once per level per demand access)
         line_number = addr >> self._line_shift
-        set_index = line_number & self._set_mask
-        way = self._where.get(line_number)
-        if way is not None:
-            line = self._ways[set_index][way]
-            assert line is not None
-            if is_write:
-                line.dirty = True
-            lru = self._lru
-            if lru is not None:
-                # inlined LruPolicy.on_access
-                lru._clock += 1
-                lru._stamps[set_index][way] = lru._clock
-            else:
-                self._policy.on_access(set_index, way)
-            self.hits += 1
+        if self.lookup(line_number, is_write):
             return _HIT
         self.misses += 1
         if not allocate:
             return _MISS
-        victim = self._fill(set_index, line_number << self._line_shift, qos_id, is_write)
+        victim = self.allocate(line_number, qos_id, is_write)
         if victim is None:
             return _MISS
         return LookupResult(hit=False, victim=victim)
 
+    def lookup(self, line_number: int, is_write: bool) -> bool:
+        """Demand probe by line number; a hit is counted and made most recent.
+
+        A miss counts nothing: the caller counts it when it allocates (see
+        :meth:`CacheHierarchy.l2_miss`).
+        """
+        way = self._where.get(line_number)
+        if way is None:
+            return False
+        recency = self._sets[line_number & self._set_mask]
+        line = recency.pop(way)
+        recency[way] = line
+        if is_write:
+            line.dirty = True
+        self.hits += 1
+        return True
+
     def fill(self, addr: int, qos_id: int, dirty: bool = False) -> CacheLine | None:
         """Install a line without counting a demand access (e.g. writeback)."""
-        set_index, way = self._find(addr)
-        if way is not None:
-            line = self._ways[set_index][way]
-            assert line is not None
-            line.dirty = line.dirty or dirty
-            self._policy.on_access(set_index, way)
-            return None
-        return self._fill(set_index, self.line_addr(addr), qos_id, dirty)
+        line_number = addr >> self._line_shift
+        way = self._where.get(line_number)
+        if way is None:
+            return self.allocate(line_number, qos_id, dirty)
+        recency = self._sets[line_number & self._set_mask]
+        line = recency.pop(way)
+        recency[way] = line
+        line.dirty = line.dirty or dirty
+        return None
 
     def invalidate(self, addr: int) -> CacheLine | None:
         """Remove a line; returns it (so dirty data can be written back)."""
-        set_index, way = self._find(addr)
+        line_number = addr >> self._line_shift
+        way = self._where.pop(line_number, None)
         if way is None:
             return None
-        line = self._ways[set_index][way]
-        self._ways[set_index][way] = None
-        if line is not None:
-            del self._where[line.line_addr >> self._line_shift]
-        return line
+        return self._sets[line_number & self._set_mask].pop(way)
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _find(self, addr: int) -> tuple[int, int | None]:
-        # one dict probe instead of an associative way scan; this runs once
-        # per cache level per demand access and dominates the model's cost
-        line = addr >> self._line_shift
-        return line & self._set_mask, self._where.get(line)
+    def allocate(self, line_number: int, qos_id: int, dirty: bool) -> CacheLine | None:
+        """Install a non-resident line as most recent; return the evicted line.
 
-    def _fill(self, set_index: int, line_addr: int, qos_id: int, dirty: bool) -> CacheLine | None:
-        ways = self._ways[set_index]
+        The target is the first empty way the class may allocate into while
+        the set has room, and otherwise the least recent allowed way.
+        Counts evictions but no demand access.
+        """
+        recency = self._sets[line_number & self._set_mask]
         partition = self.partition
         # direct probe of the partition's allowed-ways cache; configured
         # masks are never empty, and a missing entry means "all ways"
@@ -192,60 +182,30 @@ class SetAssociativeCache:
             if partition is not None
             else self._all_ways
         )
-        victim_line: CacheLine | None = None
-        target_way: int | None = None
-        lru = self._lru
-        if lru is not None:
-            # fused scan: first empty way wins, otherwise the LRU way
-            # (first-minimal stamp, matching LruPolicy.victim) — one pass
-            # instead of empty-way scan + candidate list + victim scan
-            stamps = lru._stamps[set_index]
-            lru_way = -1
-            lru_stamp = 0
+        target = -1
+        if len(recency) < self.assoc:
             for way in allowed:
-                if ways[way] is None:
-                    target_way = way
+                if way not in recency:
+                    target = way
                     break
-                stamp = stamps[way]
-                if lru_way < 0 or stamp < lru_stamp:
-                    lru_way = way
-                    lru_stamp = stamp
-            if target_way is None:
-                if lru_way < 0:
-                    raise ValueError(f"QoS class {qos_id} has no ways in {self.name}")
-                target_way = lru_way
-            if ways[target_way] is not None:
-                victim_line = ways[target_way]
-                self.evictions += 1
-                del self._where[victim_line.line_addr >> self._line_shift]
-                if victim_line.dirty:
-                    self.dirty_evictions += 1
-            ways[target_way] = CacheLine(line_addr=line_addr, qos_id=qos_id, dirty=dirty)
-            self._where[line_addr >> self._line_shift] = target_way
-            # inlined LruPolicy.on_access (method call saved on every fill)
-            lru._clock += 1
-            stamps[target_way] = lru._clock
-            return victim_line
-        else:
-            for way in allowed:
-                if ways[way] is None:
-                    target_way = way
+        if target < 0:
+            # every allowed way is occupied, so one is in the recency order
+            for way in recency:
+                if way in allowed:
+                    target = way
                     break
-            if target_way is None:
-                candidates = list(allowed)
-                if not candidates:
-                    raise ValueError(f"QoS class {qos_id} has no ways in {self.name}")
-                target_way = self._policy.victim(set_index, candidates)
-        if victim_line is None and ways[target_way] is not None:
-            victim_line = ways[target_way]
+            victim = recency.pop(target)
             self.evictions += 1
-            del self._where[victim_line.line_addr >> self._line_shift]
-            if victim_line.dirty:
+            del self._where[victim.line_addr >> self._line_shift]
+            if victim.dirty:
                 self.dirty_evictions += 1
-        ways[target_way] = CacheLine(line_addr=line_addr, qos_id=qos_id, dirty=dirty)
-        self._where[line_addr >> self._line_shift] = target_way
-        self._policy.on_access(set_index, target_way)
-        return victim_line
+        else:
+            victim = None
+        recency[target] = CacheLine(
+            line_addr=line_number << self._line_shift, qos_id=qos_id, dirty=dirty
+        )
+        self._where[line_number] = target
+        return victim
 
     # ------------------------------------------------------------------
     # monitoring
@@ -253,10 +213,9 @@ class SetAssociativeCache:
     def occupancy_by_class(self) -> dict[int, int]:
         """Resident line count per QoS class (for CMT-style monitoring)."""
         counts: dict[int, int] = {}
-        for ways in self._ways:
-            for line in ways:
-                if line is not None:
-                    counts[line.qos_id] = counts.get(line.qos_id, 0) + 1
+        for recency in self._sets:
+            for line in recency.values():
+                counts[line.qos_id] = counts.get(line.qos_id, 0) + 1
         return counts
 
     @property

@@ -18,13 +18,13 @@ bandwidth of a read stream, as on real write-back hierarchies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.partition import WayPartition
 from repro.sim.config import SystemConfig
-from repro.sim.topology import AddressMap, _mix_bits
+from repro.sim.topology import AddressMap
 
 __all__ = ["CacheHierarchy", "HierarchyOutcome", "HitLevel"]
 
@@ -42,9 +42,11 @@ class HierarchyOutcome:
     """Functional result of one demand access."""
 
     level: HitLevel
-    l3_slice: int = -1
+    #: ``AddressMap.decode`` of the accessed line, ``(slice, mc, bank,
+    #: row)``, for every access that missed the L2 (None on an L2 hit)
+    route: tuple[int, int, int, int] | None = None
     #: line addresses of the dirty lines this access pushed out to memory
-    mem_writebacks: list[int] = field(default_factory=list)
+    mem_writebacks: tuple[int, ...] = ()
 
     @property
     def goes_to_memory(self) -> bool:
@@ -56,7 +58,7 @@ class HierarchyOutcome:
 
 
 # Shared L2-hit outcome: callers never mutate outcomes and the L2-hit path
-# carries no slice or writebacks, so one instance serves every hit.
+# carries no route or writebacks, so one instance serves every hit.
 _L2_HIT = HierarchyOutcome(level=HitLevel.L2)
 
 
@@ -68,7 +70,6 @@ class CacheHierarchy:
         config: SystemConfig,
         address_map: AddressMap,
         l3_partition: WayPartition | None = None,
-        seed: int = 0,
     ) -> None:
         self._config = config
         self._address_map = address_map
@@ -79,7 +80,6 @@ class CacheHierarchy:
                 num_sets=config.l2_sets,
                 assoc=config.l2_assoc,
                 line_bytes=config.line_bytes,
-                seed=seed + core,
             )
             for core in range(config.cores)
         ]
@@ -90,16 +90,15 @@ class CacheHierarchy:
                 assoc=config.l3_assoc,
                 line_bytes=config.line_bytes,
                 partition=l3_partition,
-                seed=seed + 1000 + tile,
             )
             for tile in range(config.cores)
         ]
-        # access() fast-path bindings.  Slice selection recomputes the hash
-        # directly instead of going through AddressMap.decode: streaming
-        # working sets are large enough that the decode memo rarely hits,
-        # and the slice needs only one bit-mix, not the full
-        # (slice, mc, bank, row) tuple.
-        self._num_slices = len(self.l3_slices)
+        # The L3 slice comes from the memoized AddressMap.decode: every
+        # L2 miss needs the line's full route anyway (a memory read is
+        # routed to its controller and bank, an L3 hit back from its
+        # slice), so one decode per miss serves both the slice choice
+        # and the request's route.
+        self._decode = address_map.decode
         self._line_shift = config.line_bytes.bit_length() - 1
 
     # ------------------------------------------------------------------
@@ -107,42 +106,41 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def access(self, core_id: int, addr: int, is_write: bool, qos_id: int) -> HierarchyOutcome:
         """Run one demand access through L2 then (on miss) the L3 slice."""
-        l2 = self.l2s[core_id]
-        l2_result = l2.access(addr, is_write, qos_id)
-        if l2_result.hit:
+        if self.l2s[core_id].lookup(addr >> self._line_shift, is_write):
             return _L2_HIT
+        return self.l2_miss(core_id, addr, is_write, qos_id)
 
-        writebacks: list[int] = []
-        l3_slices = self.l3_slices
-        num_slices = self._num_slices
-        line_shift = self._line_shift
-        # slice_of() without the decode wrapper or the (useless here) full
-        # line decode — see the binding comment in __init__
-        slice_id = _mix_bits(addr >> line_shift) % num_slices
-        l3 = l3_slices[slice_id]
+    def l2_miss(self, core_id: int, addr: int, is_write: bool, qos_id: int) -> HierarchyOutcome:
+        """Finish a demand access whose L2 probe already missed.
 
+        Counts the L2 miss and allocates the line there, writes a dirty L2
+        victim into its L3 slice, then runs the demand access on the
+        line's own slice.  The system's inlined L2-hit probe calls this
+        directly, so a miss is probed once per level.
+        """
+        line_number = addr >> self._line_shift
+        l2 = self.l2s[core_id]
+        l2.misses += 1
+        victim = l2.allocate(line_number, qos_id, is_write)
+        route = self._decode(addr)
+        writebacks: tuple[int, ...] = ()
         # A dirty L2 victim is written into the L3 (it may itself push a
         # dirty L3 line out to memory).
-        victim = l2_result.victim
         if victim is not None and victim.dirty:
-            victim_slice = l3_slices[
-                _mix_bits(victim.line_addr >> line_shift) % num_slices
-            ]
-            l3_victim = victim_slice.fill(victim.line_addr, victim.qos_id, dirty=True)
-            if l3_victim is not None and l3_victim.dirty:
-                writebacks.append(l3_victim.line_addr)
-
-        l3_result = l3.access(addr, is_write=False, qos_id=qos_id)
-        if l3_result.hit:
-            return HierarchyOutcome(
-                level=HitLevel.L3, l3_slice=slice_id, mem_writebacks=writebacks
+            victim_addr = victim.line_addr
+            l3_victim = self.l3_slices[self._decode(victim_addr)[0]].fill(
+                victim_addr, victim.qos_id, dirty=True
             )
-        if l3_result.dirty_eviction:
-            assert l3_result.victim is not None
-            writebacks.append(l3_result.victim.line_addr)
-        return HierarchyOutcome(
-            level=HitLevel.MEMORY, l3_slice=slice_id, mem_writebacks=writebacks
-        )
+            if l3_victim is not None and l3_victim.dirty:
+                writebacks = (l3_victim.line_addr,)
+        l3 = self.l3_slices[route[0]]
+        if l3.lookup(line_number, False):
+            return HierarchyOutcome(HitLevel.L3, route, writebacks)
+        l3.misses += 1
+        l3_victim = l3.allocate(line_number, qos_id, False)
+        if l3_victim is not None and l3_victim.dirty:
+            writebacks += (l3_victim.line_addr,)
+        return HierarchyOutcome(HitLevel.MEMORY, route, writebacks)
 
     # ------------------------------------------------------------------
     # monitoring

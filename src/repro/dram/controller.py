@@ -124,11 +124,13 @@ class MemoryController:
         self._respond_fn: Callable | None = None
 
         # scheduling-pass coalescing: _pass_at is the armed pass time, and
-        # _pass_token identifies the newest armed pass event — superseded
-        # events dispatch, see their stale token, and return immediately
-        # (cheaper than allocating a cancellable Event per arm)
+        # _pass_cycles holds the cycles that have a queued pass event.  An
+        # event whose cycle is no longer _pass_at was superseded by an
+        # earlier pass and returns at once; re-arming a cycle that still
+        # has its event posts nothing, so a cycle never holds two queued
+        # pass events (and no arm allocates a cancellable Event)
         self._pass_at: int | None = None
-        self._pass_token = 0
+        self._pass_cycles: set[int] = set()
 
         # read-queue occupancy integral (for the saturation monitor)
         self._occ_integral = 0
@@ -242,15 +244,16 @@ class MemoryController:
         if self._pass_at is not None and self._pass_at <= when:
             return
         self._pass_at = when
-        token = self._pass_token + 1
-        self._pass_token = token
-        self._engine.post_at(when, self._run_pass, token)
+        if when not in self._pass_cycles:
+            self._pass_cycles.add(when)
+            self._engine.post_at(when, self._run_pass)
 
-    def _run_pass(self, token: int) -> None:  # repro: native-kernel
-        if token != self._pass_token:
-            return  # superseded by a later request for an earlier pass
-        self._pass_at = None
+    def _run_pass(self) -> None:  # repro: native-kernel
         now = self._engine._now
+        self._pass_cycles.discard(now)
+        if self._pass_at != now:
+            return  # superseded by an earlier pass, which re-armed itself
+        self._pass_at = None
         # watermark-based write-drain switch (inlined _update_write_mode)
         if self._draining_writes:
             if len(self.write_queue) <= self._wm_low:
@@ -496,11 +499,11 @@ class MemoryController:
             wake = bus_gate
         if wake != _FAR:
             # inlined _request_pass: _run_pass cleared _pass_at, so the
-            # coalescing early-out can never take — arm unconditionally
+            # coalescing early-out can never take
             self._pass_at = wake
-            token = self._pass_token + 1
-            self._pass_token = token
-            self._engine.post_at(wake, self._run_pass, token)
+            if wake not in self._pass_cycles:
+                self._pass_cycles.add(wake)
+                self._engine.post_at(wake, self._run_pass)
 
     def _notify_space(self) -> None:
         # Synchronous hint: listeners only set a flag and arm a late-phase

@@ -48,7 +48,11 @@ class AccessType(str, Enum):
         return self is AccessType.READ
 
 
-@dataclass(slots=True)
+#: Access types that occupy the write path at the memory controller.
+_MEMORY_WRITES = (AccessType.WRITE, AccessType.WRITEBACK)
+
+
+@dataclass(slots=True, init=False)
 class MemoryRequest:
     """One cache-line transaction travelling from a source to a target.
 
@@ -59,42 +63,64 @@ class MemoryRequest:
     access: AccessType
     qos_id: int
     core_id: int
-    size: int = 64
-    # bound method of the shared counter: skips the next_request_id frame
-    # on every construction (requests are minted once per L2 miss)
-    req_id: int = field(default_factory=_request_ids.__next__)
+    size: int
+    req_id: int
 
     # lifecycle timestamps
-    created_at: int = -1          # L2 miss detected
-    released_at: int = -1         # passed the pacer onto the NoC
-    arrived_mc_at: int = -1       # entered a memory-controller front-end queue
-    dispatched_at: int = -1       # moved to a back-end bank queue
-    issued_at: int = -1           # bank access began
-    completed_at: int = -1        # data transfer finished
+    created_at: int               # L2 miss detected
+    released_at: int              # passed the pacer onto the NoC
+    arrived_mc_at: int            # entered a memory-controller front-end queue
+    dispatched_at: int            # moved to a back-end bank queue
+    issued_at: int                # bank access began
+    completed_at: int             # data transfer finished
 
     # routing / mechanism state
-    mc_id: int = -1
-    bank_id: int = -1
-    row_id: int = -1
-    l3_hit: bool = False
-    caused_writeback: bool = False
-    virtual_deadline: int = 0
+    mc_id: int
+    bank_id: int
+    row_id: int
+    l3_hit: bool
+    caused_writeback: bool
+    virtual_deadline: int
     #: Global NoC injection sequence number, stamped by the system when
     #: the request enters the network.  Ingress pumps and the response
     #: inbox sort on it, making admission/delivery order a function of
     #: the traffic instead of event insertion order.
-    noc_seq: int = -1
+    noc_seq: int
 
     # Derived from ``access`` once at construction: these flags sit on the
     # controller's per-pass hot path, where a property doing an enum
     # membership test per call is measurable.
-    is_read: bool = field(init=False, repr=False, compare=False)
+    is_read: bool = field(repr=False, compare=False)
     #: True for transactions that occupy the write path at the MC.
-    is_memory_write: bool = field(init=False, repr=False, compare=False)
+    is_memory_write: bool = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.is_read = self.access is AccessType.READ
-        self.is_memory_write = self.access in (AccessType.WRITE, AccessType.WRITEBACK)
+    def __init__(
+        self, addr: int, access: AccessType, qos_id: int, core_id: int, size: int = 64
+    ) -> None:
+        # written out by hand: requests are minted once per L2 miss, and
+        # the generated __init__ adds a default-factory call and a
+        # __post_init__ frame to each
+        self.addr = addr
+        self.access = access
+        self.qos_id = qos_id
+        self.core_id = core_id
+        self.size = size
+        self.req_id = next(_request_ids)
+        self.created_at = -1
+        self.released_at = -1
+        self.arrived_mc_at = -1
+        self.dispatched_at = -1
+        self.issued_at = -1
+        self.completed_at = -1
+        self.mc_id = -1
+        self.bank_id = -1
+        self.row_id = -1
+        self.l3_hit = False
+        self.caused_writeback = False
+        self.virtual_deadline = 0
+        self.noc_seq = -1
+        self.is_read = access is AccessType.READ
+        self.is_memory_write = access in _MEMORY_WRITES
 
     @property
     def total_latency(self) -> int:

@@ -93,10 +93,11 @@ class System:
         self.topology = MeshTopology(config)
         self.address_map = AddressMap(config, num_slices=config.cores)
         self.hierarchy = CacheHierarchy(
-            config, self.address_map, self._build_partition(), seed=seed
+            config, self.address_map, self._build_partition()
         )
         # hot-path bindings: these run once per demand access / response
         self._l2s = self.hierarchy.l2s
+        self._l2_miss = self.hierarchy.l2_miss
         self._decode = self.address_map.decode
         self._line_shift = self.address_map._line_shift
         self._l2_latency = config.l2_latency
@@ -314,31 +315,25 @@ class System:
     def _core_access(
         self, core: Core, access: Access, done: Callable[[], None]
     ) -> None:
-        # Inlined L2-hit probe (mirrors SetAssociativeCache.access()'s hit
-        # path): the L2 hit is the dominant memory outcome, and taking it
-        # without the hierarchy.access + cache.access frames is measurable
-        # at every-access rates.  A probe miss falls through to the full
-        # hierarchy walk, whose own L2 probe repeats the miss verdict.
+        # Inlined L2-hit probe (mirrors SetAssociativeCache.lookup()): the
+        # L2 hit is the dominant memory outcome, and taking it without the
+        # hierarchy + cache frames is measurable at every-access rates.  A
+        # probe miss continues in CacheHierarchy.l2_miss, which does not
+        # probe the L2 again.
         addr = access.addr
         l2 = self._l2s[core.core_id]
         line_number = addr >> self._line_shift
         way = l2._where.get(line_number)
         if way is not None:
-            set_index = line_number & l2._set_mask
+            recency = l2._sets[line_number & l2._set_mask]
+            line = recency.pop(way)
+            recency[way] = line
             if access.is_write:
-                l2._ways[set_index][way].dirty = True
-            lru = l2._lru
-            if lru is not None:
-                lru._clock += 1
-                lru._stamps[set_index][way] = lru._clock
-            else:
-                l2._policy.on_access(set_index, way)
+                line.dirty = True
             l2.hits += 1
             self.engine.post(self._l2_latency, done)
             return
-        outcome = self.hierarchy.access(
-            core.core_id, addr, access.is_write, core.qos_id
-        )
+        outcome = self._l2_miss(core.core_id, addr, access.is_write, core.qos_id)
         self._start_miss(core, access, outcome, done)
 
     def _start_miss(
@@ -385,16 +380,15 @@ class System:
         if engine.tracer is not None:
             engine.tracer.released(req)
         core_id = core.core_id
-        slice_tile = outcome.l3_slice if outcome.l3_slice >= 0 else core_id
+        route = outcome.route
         if req.l3_hit:
             engine.post(
-                self._hit_delay[core_id][slice_tile], self._enqueue_response, core, req
+                self._hit_delay[core_id][route[0]], self._enqueue_response, core, req
             )
             return
-
-        # one decode stamps the full route (mc/bank/row) so the controller's
-        # accept path never re-decodes the address
-        _, mc_id, req.bank_id, req.row_id = self._decode(req.addr)
+        # the hierarchy decoded the line once on the L2 miss; its route
+        # stamps mc/bank/row, so the controller's accept path never decodes
+        slice_tile, mc_id, req.bank_id, req.row_id = route
         req.mc_id = mc_id
         engine.post(self._miss_delay[core_id][slice_tile][mc_id], self._deliver, req)
         for line_addr in outcome.mem_writebacks:
@@ -526,8 +520,12 @@ class System:
         Called inline from the controller's scheduling pass the moment a
         read issues.  The actual admission happens in the pump, so
         backlog admission order is canonical no matter which pass
-        produced the hint.
+        produced the hint.  Without a backlog there is nothing to admit:
+        only a pump adds to the backlog, and this cycle's arrivals admit
+        through the pump their delivery armed.
         """
+        if not (self._mc_read_sources[mc_id] or self._mc_pending_writes[mc_id]):
+            return
         self._mc_space_hint[mc_id] = True
         if not self._mc_pump_armed[mc_id]:
             self._mc_pump_armed[mc_id] = True

@@ -7,10 +7,10 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.partition import WayPartition
 
 
-def make_cache(num_sets=4, assoc=2, partition=None, replacement="lru"):
+def make_cache(num_sets=4, assoc=2, partition=None):
     return SetAssociativeCache(
         "test", num_sets=num_sets, assoc=assoc, line_bytes=64,
-        partition=partition, replacement=replacement,
+        partition=partition,
     )
 
 
@@ -148,18 +148,6 @@ class TestPartitioning:
         assert occ == {0: 1, 1: 2}
 
 
-class TestReplacementPolicies:
-    def test_random_policy_runs(self):
-        cache = make_cache(num_sets=1, assoc=2, replacement="random")
-        for addr in range(0, 0x200, 0x40):
-            cache.access(addr, False, 0)
-        assert cache.evictions > 0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_cache(replacement="mru")
-
-
 @settings(max_examples=50)
 @given(
     addrs=st.lists(
@@ -193,3 +181,154 @@ def test_property_working_set_within_capacity_never_evicts_after_warm(addrs):
         cache.access(addr, False, 0)
     for addr in unique:
         assert cache.access(addr, False, 0).hit
+
+
+# ----------------------------------------------------------------------
+# recency order vs. a stamp-scan reference LRU
+# ----------------------------------------------------------------------
+class StampScanLru:
+    """Reference LRU: a stamp per way, victims found by scanning the set.
+
+    The victim is the first empty way the class may allocate into, or
+    else the allowed way with the oldest stamp.  Lines are
+    ``[line_addr, qos_id, dirty]`` lists.
+    """
+
+    def __init__(self, num_sets, assoc, partition):
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.partition = partition
+        self.ways = [[None] * assoc for _ in range(num_sets)]
+        self.stamps = [[0] * assoc for _ in range(num_sets)]
+        self.clock = 0
+        self.hits = self.misses = self.evictions = self.dirty_evictions = 0
+
+    def _locate(self, addr):
+        set_index = (addr >> 6) % self.num_sets
+        for way, line in enumerate(self.ways[set_index]):
+            if line is not None and line[0] == addr >> 6 << 6:
+                return set_index, way
+        return set_index, None
+
+    def _touch(self, set_index, way):
+        self.clock += 1
+        self.stamps[set_index][way] = self.clock
+
+    def _install(self, set_index, addr, qos_id, dirty):
+        allowed = (
+            self.partition.allowed_ways(qos_id)
+            if self.partition is not None
+            else tuple(range(self.assoc))
+        )
+        ways = self.ways[set_index]
+        empty = [way for way in allowed if ways[way] is None]
+        if empty:
+            target = empty[0]
+        else:
+            target = min(allowed, key=lambda way: self.stamps[set_index][way])
+        victim = ways[target]
+        if victim is not None:
+            self.evictions += 1
+            self.dirty_evictions += victim[2]
+        ways[target] = [addr >> 6 << 6, qos_id, dirty]
+        self._touch(set_index, target)
+        return victim
+
+    def access(self, addr, is_write, qos_id, allocate):
+        set_index, way = self._locate(addr)
+        if way is not None:
+            self.hits += 1
+            self.ways[set_index][way][2] |= is_write
+            self._touch(set_index, way)
+            return None
+        self.misses += 1
+        return self._install(set_index, addr, qos_id, is_write) if allocate else None
+
+    def fill(self, addr, qos_id, dirty):
+        set_index, way = self._locate(addr)
+        if way is None:
+            return self._install(set_index, addr, qos_id, dirty)
+        self.ways[set_index][way][2] |= dirty
+        self._touch(set_index, way)
+        return None
+
+    def invalidate(self, addr):
+        set_index, way = self._locate(addr)
+        if way is None:
+            return None
+        line, self.ways[set_index][way] = self.ways[set_index][way], None
+        return line
+
+
+def _overlapping_partition():
+    partition = WayPartition(4)
+    partition.set_mask(0, 0b0111)
+    partition.set_mask(1, 0b1110)
+    return partition
+
+
+PARTITIONS = {
+    "none": lambda: None,
+    "exclusive": lambda: WayPartition.exclusive(4, {0: 1, 1: 3}),
+    "overlapping": _overlapping_partition,
+}
+
+
+def _as_list(line):
+    return None if line is None else [line.line_addr, line.qos_id, line.dirty]
+
+
+def _resident(cache):
+    return [
+        {way: _as_list(line) for way, line in recency.items()}
+        for recency in cache._sets
+    ]
+
+
+def _reference_resident(ref):
+    return [
+        {way: line for way, line in enumerate(ways) if line is not None}
+        for ways in ref.ways
+    ]
+
+
+@pytest.mark.parametrize("partition_kind", sorted(PARTITIONS))
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["access", "access", "access", "fill", "invalidate"]),
+            st.integers(min_value=0, max_value=23).map(lambda line: line * 64),
+            st.booleans(),
+            st.integers(min_value=0, max_value=2),
+            st.booleans(),
+        ),
+        max_size=150,
+    )
+)
+def test_property_recency_order_matches_stamp_scan_lru(partition_kind, ops):
+    """Victims, counters and resident lines equal the stamp-scan LRU's.
+
+    Two sets of four ways and 24 lines force evictions; class 2 has no
+    mask (all ways), so under a partition some hits land on lines
+    outside the accessor's allowed ways.
+    """
+    partition = PARTITIONS[partition_kind]()
+    cache = make_cache(num_sets=2, assoc=4, partition=partition)
+    ref = StampScanLru(2, 4, partition)
+    for op, addr, flag, qos_id, allocate in ops:
+        if op == "access":
+            victim = cache.access(addr, flag, qos_id, allocate=allocate).victim
+            expected = ref.access(addr, flag, qos_id, allocate)
+        elif op == "fill":
+            victim = cache.fill(addr, qos_id, dirty=flag)
+            expected = ref.fill(addr, qos_id, flag)
+        else:
+            victim = cache.invalidate(addr)
+            expected = ref.invalidate(addr)
+        assert _as_list(victim) == expected
+        assert _resident(cache) == _reference_resident(ref)
+    counters = ("hits", "misses", "evictions", "dirty_evictions")
+    assert [getattr(cache, name) for name in counters] == [
+        getattr(ref, name) for name in counters
+    ]

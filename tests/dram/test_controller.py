@@ -145,8 +145,27 @@ class TestWriteHandling:
         assert read.issued_at <= write.issued_at
 
 
+@pytest.fixture(params=["pure", "c"])
+def backend(request):
+    if request.param == "c":
+        try:
+            accel.resolve_backend("c")
+        except accel.AccelUnavailable as exc:
+            pytest.skip(f"compiled backend unavailable: {exc}")
+    return request.param
+
+
+def make_mc_on(backend, config):
+    """A controller on ``backend``'s engine, with its controller kernels."""
+    with accel.backend(backend):
+        engine = accel.make_engine(0)
+        stats = Stats()
+        address_map = AddressMap(config, num_slices=config.cores)
+        mc = MemoryController(engine, 0, config, address_map, stats)
+    return engine, mc, stats
+
+
 class TestCompletionBeyondWheelWindow:
-    @pytest.mark.parametrize("backend", ["pure", "c"])
     def test_slow_closed_page_write_completes(self, backend):
         """Prep plus burst longer than the 4096-cycle wheel window.
 
@@ -155,23 +174,40 @@ class TestCompletionBeyondWheelWindow:
         completion lands beyond the window and takes the engine's
         overflow path, which must hand ``_complete`` the request itself.
         """
-        if backend == "c":
-            try:
-                accel.resolve_backend("c")
-            except accel.AccelUnavailable as exc:
-                pytest.skip(f"compiled backend unavailable: {exc}")
         base = SystemConfig.small_test()
         config = dataclasses.replace(base, dram=base.dram.frequency_scaled(61))
-        with accel.backend(backend):
-            engine = accel.make_engine(0)
-            stats = Stats()
-            address_map = AddressMap(config, num_slices=config.cores)
-            mc = MemoryController(engine, 0, config, address_map, stats)
+        engine, mc, stats = make_mc_on(backend, config)
         req = write_req(0x40)
         assert mc.try_enqueue(req)
         engine.run()
         assert req.completed_at == 4148
         assert stats.class_stats(0).writes_completed == 1
+
+
+class TestPassCoalescing:
+    def test_rearming_a_queued_wakeup_posts_no_second_pass(self, backend):
+        """An enqueue's pass re-arms the wakeup already queued at W.
+
+        Three reads share a bank.  The cycle-0 pass issues the first and
+        queues a wakeup at W; the third read's enqueue at 0 < t < W runs
+        an earlier pass, which finds the bank busy and re-arms W.  W
+        still holds its first event, so exactly one pass dispatches there.
+        """
+        config = SystemConfig.small_test()
+        engine, mc, _ = make_mc_on(backend, config)
+        stride = 64 * config.num_mcs * config.banks_per_mc  # same bank, same row
+        reqs = [read_req(k * stride) for k in range(3)]
+        assert mc.try_enqueue(reqs[0]) and mc.try_enqueue(reqs[1])
+        engine.run_until(0)
+        wake = mc._pass_at
+        assert wake is not None and wake > 1
+        engine.post_at(wake // 2, mc.try_enqueue, reqs[2])
+        engine.run_until(wake - 1)
+        assert reqs[2].arrived_mc_at == wake // 2 and reqs[2].issued_at < 0
+        assert mc._pass_at == wake
+        dispatched = engine.dispatched
+        engine.run_until(wake)
+        assert engine.dispatched - dispatched == 1
 
 
 class TestOccupancySampling:

@@ -1,11 +1,12 @@
 """Byte-exact golden pinning of experiment reports.
 
 The perf work on the simulator kernels (dense latency tables, memoized
-address decode, the engine's plain-tuple heap, the controller's pass
-coalescing) is only legal because it is bit-identical: same events, same
-order, same numbers.  These tests pin the quick fig05/fig06 reports
-byte-for-byte against committed golden files, so any future "harmless"
-optimization that perturbs event order fails immediately.
+address decode, the engine's timing wheel, the controller's pass
+coalescing) is only legal because every simulated result stays
+bit-identical; an event may go only if it provably does nothing
+(DESIGN.md section 7).  These tests pin the quick fig05/fig06/fig07
+reports byte-for-byte against committed golden files, so any future
+"harmless" optimization that changes a result fails immediately.
 
 Regenerating (only after an intentional semantic change)::
 

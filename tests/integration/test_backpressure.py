@@ -6,6 +6,10 @@ apply out there — that is the Fig. 1b failure mode — but fairness across
 sources must hold, and nothing may be lost or reordered within a source.
 """
 
+import pytest
+
+from repro import accel
+from repro.dram.schedulers import FrFcfsPolicy
 from repro.qos.classes import QoSRegistry
 from repro.sim.config import SystemConfig
 from repro.sim.records import AccessType, MemoryRequest
@@ -99,3 +103,50 @@ class TestRoundRobinAdmission:
         system._admit_pending_reads(0)
         # first-in was admitted first regardless of any priority state
         assert first.arrived_mc_at >= 0
+
+
+class _AcceptOrder(FrFcfsPolicy):
+    """FR-FCFS that records the ``noc_seq`` of every admitted request."""
+
+    def __init__(self):
+        super().__init__()
+        self.accepted = []
+
+    def on_accept(self, req, now):
+        self.accepted.append(req.noc_seq)
+        super().on_accept(req, now)
+
+
+class TestSpaceHint:
+    @pytest.mark.parametrize("backend", ["pure", "c"])
+    def test_hint_without_backlog_arms_nothing(self, backend):
+        """A space hint with no backlog posts no pump; arrivals still sort.
+
+        Only a pump adds to the backlog, so with none there is nothing to
+        admit.  The hint runs as an event so the compiled backend takes
+        its native path; a later same-cycle arrival pair, delivered out of
+        ``noc_seq`` order, admits through its own pump in order.
+        """
+        if backend == "c":
+            try:
+                accel.resolve_backend("c")
+            except accel.AccelUnavailable as exc:
+                pytest.skip(f"compiled backend unavailable: {exc}")
+        with accel.backend(backend):
+            system = make_system()
+        engine = system.engine
+        policy = _AcceptOrder()
+        system.controllers[0].policy = policy
+        engine.post_at(0, system._on_mc_space, 0)
+        engine.run_until(0)
+        assert engine.dispatched == 1
+        assert engine.pending_events == 0
+        assert system._mc_space_hint == [False] * len(system.controllers)
+
+        engine.post_at(1, system._on_mc_space, 0)
+        late, early = read_for(system, 0, 0), read_for(system, 1, 0)
+        late.noc_seq, early.noc_seq = early.noc_seq, late.noc_seq
+        engine.post_at(1, system._deliver, late)
+        engine.post_at(1, system._deliver, early)
+        engine.run_until(1)
+        assert policy.accepted == [early.noc_seq, late.noc_seq]

@@ -13,7 +13,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.replacement import make_policy
 from repro.sim.engine import Engine
 from repro.sim.rng import Generator, SeedSequence
 
@@ -153,15 +152,6 @@ def test_pickle_round_trip_mid_stream():
     expected = [draw(ref, op) for op in tail]
     assert [draw(clone, op) for op in tail] == expected
     assert [draw(ours, op) for op in tail] == expected
-
-
-def test_random_policy_victims_match_numpy():
-    policy = make_policy("random", num_sets=4, assoc=8, seed=11)
-    ref = np.random.Generator(np.random.PCG64(11))
-    candidates = [[0, 1, 2, 3, 4, 5, 6, 7], [2, 5], [1, 3, 6], [4]]
-    for i in range(200):
-        ways = candidates[i % len(candidates)]
-        assert policy.victim(i % 4, ways) == ways[int(ref.integers(len(ways)))]
 
 
 @pytest.mark.parametrize(
