@@ -22,7 +22,6 @@ class CacheLine:
     line_addr: int
     qos_id: int
     dirty: bool = False
-    valid: bool = True
 
 
 @dataclass(slots=True)

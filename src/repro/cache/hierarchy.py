@@ -93,8 +93,9 @@ class CacheHierarchy:
             )
             for tile in range(config.cores)
         ]
-        # The L3 slice comes from the memoized AddressMap.decode: every
-        # L2 miss needs the line's full route anyway (a memory read is
+        # The L3 slice comes from AddressMap.decode, which computes the
+        # hash on each call and remembers nothing per line: every L2
+        # miss needs the line's full route anyway (a memory read is
         # routed to its controller and bank, an L3 hit back from its
         # slice), so one decode per miss serves both the slice choice
         # and the request's route.

@@ -25,6 +25,7 @@ part of what distinguishes the mechanisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.analysis.metrics import (
     allocation_error,
@@ -106,7 +107,7 @@ def sweep_cells(quick: bool = False) -> list[dict]:
     ]
 
 
-def _latency_stats(samples: list[int]) -> dict:
+def _latency_stats(samples: Sequence[int]) -> dict:
     if not samples:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0}
     stats = {

@@ -9,10 +9,17 @@ two numbers behind the events/s figure ``repro sweep`` prints per cell.
 Failures are part of the contract: any exception inside the figure run
 is caught and returned as a ``{"ok": False, ...}`` payload, so one bad
 cell never takes down a sweep.
+
+A finished :class:`~repro.sim.system.System` is a reference cycle (its
+controllers' callbacks, its cores' access functions and its wheel
+entries all point back at it), so refcounting never frees it.
+:func:`execute_payload` runs one full collection after each spec, which
+keeps a worker running many cells at one live system.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback
 from typing import TYPE_CHECKING, Any, Mapping
@@ -49,13 +56,15 @@ def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     spec = RunSpec.from_payload(payload)
     try:
-        return execute_spec(spec)
+        outcome = execute_spec(spec)
     except Exception as exc:  # noqa: BLE001 - isolation is the point
-        return {
+        outcome = {
             "ok": False,
             "error": f"{type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(),
         }
+    gc.collect()
+    return outcome
 
 
 def execute_spec(spec: RunSpec) -> dict[str, Any]:

@@ -8,6 +8,7 @@ memory efficiency, service-time percentiles).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.obs.streams import epoch_record
@@ -88,7 +89,9 @@ class Stats:
         self.classes: dict[int, ClassStats] = {}
         self.epochs: list[EpochSample] = []
         self.sample_latencies = sample_latencies
-        self.read_latencies: dict[int, list[int]] = {}
+        #: per-class read latencies in completion order, when sampling;
+        #: a typed array holds a sample in 8 bytes instead of a boxed int
+        self.read_latencies: dict[int, array] = {}
         self._epoch_bytes: dict[int, int] = {}
         self._last_epoch_end = 0
         # memory-controller aggregates (filled in by controllers)
@@ -128,7 +131,10 @@ class Stats:
             if latency > stats.read_latency_max:
                 stats.read_latency_max = latency
             if self.sample_latencies:
-                self.read_latencies.setdefault(qos_id, []).append(latency)
+                samples = self.read_latencies.get(qos_id)
+                if samples is None:
+                    samples = self.read_latencies[qos_id] = array("q")
+                samples.append(latency)
             # Attribution needs every intermediate stamp: a request with
             # issued_at set but arrived_mc_at unset would otherwise fold
             # the -1 sentinel into the noc/queue sums (they would still

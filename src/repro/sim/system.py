@@ -381,16 +381,22 @@ class System:
             engine.tracer.released(req)
         core_id = core.core_id
         route = outcome.route
+        slice_tile = route[0]
         if req.l3_hit:
             engine.post(
-                self._hit_delay[core_id][route[0]], self._enqueue_response, core, req
+                self._hit_delay[core_id][slice_tile], self._enqueue_response, core, req
             )
-            return
-        # the hierarchy decoded the line once on the L2 miss; its route
-        # stamps mc/bank/row, so the controller's accept path never decodes
-        slice_tile, mc_id, req.bank_id, req.row_id = route
-        req.mc_id = mc_id
-        engine.post(self._miss_delay[core_id][slice_tile][mc_id], self._deliver, req)
+        else:
+            # the hierarchy decoded the line once on the L2 miss; its route
+            # stamps mc/bank/row, so the controller's accept path never
+            # decodes
+            _, mc_id, req.bank_id, req.row_id = route
+            req.mc_id = mc_id
+            engine.post(
+                self._miss_delay[core_id][slice_tile][mc_id], self._deliver, req
+            )
+        # an L3 hit writes back too: its dirty L2 victim may push a dirty
+        # L3 line out to memory
         for line_addr in outcome.mem_writebacks:
             self._send_writeback(core, line_addr, slice_tile)
 
@@ -399,7 +405,9 @@ class System:
 
         The class whose demand caused the eviction pays, both in bandwidth
         attribution and via the response flag that makes its pacer charge
-        an extra period (:meth:`_launch` sets ``caused_writeback``).
+        an extra period (:meth:`_launch` sets ``caused_writeback``).  An
+        L3 hit's response only uncharges its pacer, so a write behind an
+        L3 hit is attributed but not charged a period.
         """
         wb = MemoryRequest(
             addr=addr,

@@ -8,7 +8,9 @@ peak memory throughput.
 
 Addresses are hashed uniformly across L3 slices and memory controllers, the
 paper's stated assumption for keeping the global wired-OR SAT signal
-meaningful (Section III-C1).
+meaningful (Section III-C1).  The hash is two multiplies, so it is computed
+on every decode rather than remembered: a per-line memo would grow with
+every line a run touches and, on streaming workloads, never hit.
 
 Hop distances on the full mesh are Manhattan distances, computed once at
 construction and flattened into dense integer latency tables, so the
@@ -24,64 +26,52 @@ from repro.sim.config import SystemConfig
 __all__ = ["AddressMap", "MeshTopology"]
 
 
-def _mix_bits(value: int) -> int:
-    """Cheap deterministic 64-bit mix (xorshift-multiply) for address hashing."""
-    value &= (1 << 64) - 1
-    value ^= value >> 33
-    value = (value * 0xFF51AFD7ED558CCD) & ((1 << 64) - 1)
-    value ^= value >> 33
-    return value
+_MASK64 = (1 << 64) - 1
+_MC_SALT = 0x9E3779B97F4A7C15
 
 
 class AddressMap:
-    """Maps a physical address to line, L3 slice, MC, bank, and DRAM row.
+    """Maps a physical address to its L3 slice, MC, bank, and DRAM row.
 
-    The line -> (slice, mc, bank, row) decode is memoized: workloads revisit
-    a bounded working set of lines, so after warm-up every lookup is one
-    dict probe instead of two 64-bit hash mixes and three divisions.
+    :meth:`decode` is the one per-line entry point.  It computes the
+    route on every call and keeps nothing per line, so the map's memory
+    is fixed by the machine it models, not by the lines a run touches.
     """
 
     def __init__(self, config: SystemConfig, num_slices: int) -> None:
         self._line_shift = config.line_bytes.bit_length() - 1
         self._num_mcs = config.num_mcs
         self._banks = config.banks_per_mc
-        self._lines_per_row = config.lines_per_row
+        self._row_lines = config.num_mcs * config.banks_per_mc * config.lines_per_row
         self._num_slices = max(1, num_slices)
         self._hash_mcs = config.mc_interleave == "hash"
-        #: line -> (slice, mc, bank, row) memo.
-        self._decoded: dict[int, tuple[int, int, int, int]] = {}
 
     @property
     def num_mcs(self) -> int:
         return self._num_mcs
 
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
-    def _decode_line(self, line: int) -> tuple[int, int, int, int]:
-        """Compute and memoize the full decode of one cache line."""
-        slice_id = _mix_bits(line) % self._num_slices
-        if not self._hash_mcs:
-            mc = line % self._num_mcs
-        else:
-            mc = (_mix_bits(line ^ 0x9E3779B97F4A7C15) >> 8) % self._num_mcs
-        bank = (line // self._num_mcs) % self._banks
-        row = line // (self._num_mcs * self._banks * self._lines_per_row)
-        decoded = (slice_id, mc, bank, row)
-        self._decoded[line] = decoded
-        return decoded
-
     def decode(self, addr: int) -> tuple[int, int, int, int]:
-        """``(slice, mc, bank, row)`` for an address, memoized per line."""
-        line = addr >> self._line_shift
-        decoded = self._decoded.get(line)
-        if decoded is None:
-            decoded = self._decode_line(line)
-        return decoded
+        """``(slice, mc, bank, row)`` of the line holding ``addr``.
 
-    def slice_of(self, addr: int) -> int:
-        """L3 slice index for an address (uniform hash)."""
-        return self.decode(addr)[0]
+        The slice (and, with the ``hash`` interleave, the MC) is a
+        xorshift-multiply mix of the line number, a uniform hash as the
+        paper assumes (Section III-C1); the mixes are inlined because
+        every L2 miss and every writeback decodes once.
+        """
+        line = addr >> self._line_shift
+        mix = line & _MASK64
+        mix ^= mix >> 33
+        mix = (mix * 0xFF51AFD7ED558CCD) & _MASK64
+        slice_id = (mix ^ (mix >> 33)) % self._num_slices
+        num_mcs = self._num_mcs
+        if self._hash_mcs:
+            mix = (line ^ _MC_SALT) & _MASK64
+            mix ^= mix >> 33
+            mix = (mix * 0xFF51AFD7ED558CCD) & _MASK64
+            mc = ((mix ^ (mix >> 33)) >> 8) % num_mcs
+        else:
+            mc = line % num_mcs
+        return slice_id, mc, (line // num_mcs) % self._banks, line // self._row_lines
 
     def mc_of(self, addr: int) -> int:
         """Memory controller index.
@@ -92,13 +82,6 @@ class AddressMap:
         signal over-throttles and per-controller governors help.
         """
         return self.decode(addr)[1]
-
-    def bank_of(self, addr: int) -> int:
-        return self.decode(addr)[2]
-
-    def row_of(self, addr: int) -> int:
-        """DRAM row id within the bank, for row-hit detection."""
-        return self.decode(addr)[3]
 
 
 class MeshTopology:

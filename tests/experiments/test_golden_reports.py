@@ -1,7 +1,7 @@
 """Byte-exact golden pinning of experiment reports.
 
-The perf work on the simulator kernels (dense latency tables, memoized
-address decode, the engine's timing wheel, the controller's pass
+The perf work on the simulator kernels (dense latency tables, one
+address decode per miss, the engine's timing wheel, the controller's pass
 coalescing) is only legal because every simulated result stays
 bit-identical; an event may go only if it provably does nothing
 (DESIGN.md section 7).  These tests pin the quick fig05/fig06/fig07

@@ -51,7 +51,7 @@ class TestMemoryPath:
         system, config = make_system({0: workload})
         system.run(10_000)
 
-        slice_tile = system.address_map.slice_of(ADDR) % config.cores
+        slice_tile = system.address_map.decode(ADDR)[0] % config.cores
         mc_id = system.address_map.mc_of(ADDR)
         expected = (
             system.topology.tile_to_tile_latency(0, slice_tile)
@@ -78,7 +78,7 @@ class TestMemoryPath:
         system, config = make_system({0: prober, 1: warmer})
         system.run(20_000)
 
-        slice_tile = system.address_map.slice_of(ADDR) % config.cores
+        slice_tile = system.address_map.decode(ADDR)[0] % config.cores
         expected = (
             2 * system.topology.tile_to_tile_latency(0, slice_tile)
             + config.l3_latency

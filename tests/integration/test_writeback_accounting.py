@@ -15,7 +15,9 @@ from repro.core.pabst import PabstMechanism
 from repro.qos.classes import QoSRegistry
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
+from repro.workloads.base import Access
 from repro.workloads.stream import StreamWorkload
+from tests.integration.test_latency_model import OneShot
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +67,64 @@ class TestPacerCharging:
         _, mechanism = pabst_run
         charged = sum(p.writeback_charges for p in mechanism.pacers.values())
         assert mechanism.obs_writeback_charges == charged
+
+
+class TestL3HitWriteback:
+    """An L3 hit can evict too: its dirty L2 victim is written into the L3,
+    which may push a dirty L3 line out.  That line must reach memory."""
+
+    def test_l3_hit_sends_its_dirty_l3_victim_to_memory(self):
+        config = SystemConfig.small_test()
+        line = config.line_bytes
+        demand = 0x4000
+        workload = OneShot([Access(addr=demand)])
+        registry = QoSRegistry()
+        registry.define_class(0, "only", weight=1)
+        registry.assign_core(0, 0)
+        system = System(config, registry, {0: workload})
+        hierarchy = system.hierarchy
+        decode = system.address_map.decode
+        l2 = hierarchy.l2s[0]
+
+        # the demand line's L2 set is full of dirty lines; the first one
+        # filled is its LRU victim
+        l2_set = [demand + k * l2.num_sets * line for k in range(1, l2.assoc + 1)]
+        for addr in l2_set:
+            l2.fill(addr, 0, dirty=True)
+        victim = l2_set[0]
+        # the victim's L3 set is full of other dirty lines, so writing the
+        # victim into the L3 evicts the least recent of them
+        victim_slice = hierarchy.l3_slices[decode(victim)[0]]
+        stride = victim_slice.num_sets * line
+        l3_set = [
+            addr
+            for addr in (victim + k * stride for k in range(1, 64))
+            if decode(addr)[0] == decode(victim)[0]
+            and addr not in l2_set
+            and addr != demand
+        ][: victim_slice.assoc]
+        for addr in l3_set:
+            victim_slice.fill(addr, 0, dirty=True)
+        # the demand line itself is clean in its own L3 slice
+        demand_slice = hierarchy.l3_slices[decode(demand)[0]]
+        assert demand_slice.fill(demand, 0) is None
+        assert all(victim_slice.probe(addr) for addr in l3_set)
+
+        writes = []
+        original = system._send_writeback
+
+        def spy(core, addr, slice_tile):
+            writes.append(addr)
+            original(core, addr, slice_tile)
+
+        system._send_writeback = spy
+        system.run(10_000)
+        system.finalize()
+
+        assert demand_slice.hits == 1
+        assert len(workload.completions) == 1
+        assert writes == [l3_set[0]]
+        stats = system.stats.class_stats(0)
+        assert stats.reads_completed == 0
+        assert stats.writes_completed == 1
+        assert stats.bytes_written == line

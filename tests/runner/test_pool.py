@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import weakref
 
 import pytest
 
@@ -70,6 +71,32 @@ class TestSequentialSweep:
         assert "fig99" in outcomes[0].error
         assert outcomes[1].ok
         assert len(cache) == 1  # only the success was stored
+
+
+class TestCellLifetime:
+    def test_each_cell_frees_its_system_before_the_next(self, monkeypatch):
+        """A finished System is a reference cycle; the worker collects it
+        before the next cell builds its own, so one system is live at a
+        time."""
+        from repro.sim.system import System
+
+        systems = []
+        alive_at_build = []
+        init = System.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            alive_at_build.append([ref() is not None for ref in systems])
+            systems.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", tracking_init)
+        specs = [
+            RunSpec(figure="fig05", cell={"measure_epochs": length})
+            for length in (1, 2)
+        ]
+        outcomes = run_specs(specs, workers=1)
+        assert [o.ok for o in outcomes] == [True, True]
+        assert alive_at_build == [[], [False]]
 
 
 class TestBrokenPool:

@@ -43,7 +43,7 @@ class TestCompletionAccounting:
         assert silent.read_latencies == {}
         sampling = Stats(sample_latencies=True)
         sampling.record_completion(completed_req(created=0, done=42))
-        assert sampling.read_latencies[0] == [42]
+        assert list(sampling.read_latencies[0]) == [42]
 
     def test_mean_latency_empty_class_is_zero(self):
         assert Stats().class_stats(9).mean_read_latency == 0.0

@@ -14,19 +14,19 @@ def make_map(num_mcs=2, num_slices=8):
 class TestAddressMap:
     def test_line_of_strips_offset(self):
         address_map, config = make_map()
-        assert address_map.line_of(0x7F) == address_map.line_of(0x40)
-        assert address_map.line_of(0x80) != address_map.line_of(0x40)
+        assert address_map.decode(0x7F) == address_map.decode(0x40)
+        assert address_map.decode(0x80) != address_map.decode(0x40)
 
     def test_mc_and_slice_in_range(self):
         address_map, config = make_map()
         for addr in range(0, 1 << 16, 64):
             assert 0 <= address_map.mc_of(addr) < config.num_mcs
-            assert 0 <= address_map.slice_of(addr) < 8
+            assert 0 <= address_map.decode(addr)[0] < 8
 
     def test_mapping_is_deterministic(self):
         address_map, _ = make_map()
         assert address_map.mc_of(0x1234) == address_map.mc_of(0x1234)
-        assert address_map.slice_of(0x1234) == address_map.slice_of(0x1234)
+        assert address_map.decode(0x1234) == address_map.decode(0x1234)
 
     def test_mc_hash_is_roughly_uniform(self):
         """The paper assumes a uniform address hash (Section III-C1)."""
@@ -40,15 +40,15 @@ class TestAddressMap:
 
     def test_sequential_lines_spread_over_banks(self):
         address_map, config = make_map()
-        banks = {address_map.bank_of(i * 64) for i in range(256)}
+        banks = {address_map.decode(i * 64)[2] for i in range(256)}
         assert len(banks) == config.banks_per_mc
 
     def test_row_groups_lines(self):
         address_map, config = make_map()
-        assert address_map.row_of(0) == 0
+        assert address_map.decode(0)[3] == 0
         # row index grows with address
         far = 1 << 30
-        assert address_map.row_of(far) > 0
+        assert address_map.decode(far)[3] > 0
 
 
 class TestMeshTopology:
@@ -104,8 +104,11 @@ def test_property_mapping_total_and_stable(addr):
     mc = address_map.mc_of(addr)
     assert 0 <= mc < config.num_mcs
     assert address_map.mc_of(addr) == mc
-    assert 0 <= address_map.bank_of(addr) < config.banks_per_mc
-    assert address_map.row_of(addr) >= 0
+    slice_id, decoded_mc, bank, row = address_map.decode(addr)
+    assert 0 <= slice_id < 8
+    assert decoded_mc == mc
+    assert 0 <= bank < config.banks_per_mc
+    assert row >= 0
 
 
 class TestDenseLatencyTables:
