@@ -48,14 +48,6 @@ class HierarchyOutcome:
     #: line addresses of the dirty lines this access pushed out to memory
     mem_writebacks: tuple[int, ...] = ()
 
-    @property
-    def goes_to_memory(self) -> bool:
-        return self.level is HitLevel.MEMORY
-
-    @property
-    def l2_miss(self) -> bool:
-        return self.level is not HitLevel.L2
-
 
 # Shared L2-hit outcome: callers never mutate outcomes and the L2-hit path
 # carries no route or writebacks, so one instance serves every hit.
@@ -71,8 +63,6 @@ class CacheHierarchy:
         address_map: AddressMap,
         l3_partition: WayPartition | None = None,
     ) -> None:
-        self._config = config
-        self._address_map = address_map
         self.l3_partition = l3_partition
         self.l2s = [
             SetAssociativeCache(
@@ -106,7 +96,11 @@ class CacheHierarchy:
     # demand path
     # ------------------------------------------------------------------
     def access(self, core_id: int, addr: int, is_write: bool, qos_id: int) -> HierarchyOutcome:
-        """Run one demand access through L2 then (on miss) the L3 slice."""
+        """Run one demand access through L2 then (on miss) the L3 slice.
+
+        The system inlines the L2 probe and calls :meth:`l2_miss`; this
+        entry point is the one perfbench's ``cache`` span wraps.
+        """
         if self.l2s[core_id].lookup(addr >> self._line_shift, is_write):
             return _L2_HIT
         return self.l2_miss(core_id, addr, is_write, qos_id)
@@ -142,21 +136,3 @@ class CacheHierarchy:
         if l3_victim is not None and l3_victim.dirty:
             writebacks += (l3_victim.line_addr,)
         return HierarchyOutcome(HitLevel.MEMORY, route, writebacks)
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def l3_occupancy_by_class(self) -> dict[int, int]:
-        """Aggregate per-class L3 occupancy across slices."""
-        totals: dict[int, int] = {}
-        for cache in self.l3_slices:
-            for qos_id, count in cache.occupancy_by_class().items():
-                totals[qos_id] = totals.get(qos_id, 0) + count
-        return totals
-
-    def l2_miss_rate(self, core_id: int) -> float:
-        return self.l2s[core_id].miss_rate
-
-    @property
-    def l3_capacity_bytes(self) -> int:
-        return sum(cache.capacity_bytes for cache in self.l3_slices)

@@ -323,13 +323,13 @@ class System:
         addr = access.addr
         l2 = self._l2s[core.core_id]
         line_number = addr >> self._line_shift
-        way = l2._where.get(line_number)
+        set_index = line_number & l2._set_mask
+        recency = l2._sets[set_index]
+        way = recency.pop(line_number, None)
         if way is not None:
-            recency = l2._sets[line_number & l2._set_mask]
-            line = recency.pop(way)
-            recency[way] = line
+            recency[line_number] = way
             if access.is_write:
-                line.dirty = True
+                l2._state[set_index * l2.assoc + way] |= 1
             l2.hits += 1
             self.engine.post(self._l2_latency, done)
             return

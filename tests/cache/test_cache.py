@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import _EMPTY as EMPTY, SetAssociativeCache
 from repro.cache.partition import WayPartition
 
 
@@ -14,15 +14,37 @@ def make_cache(num_sets=4, assoc=2, partition=None):
     )
 
 
+def access(cache, addr, is_write, qos_id, allocate=True):
+    """One demand access the way ``CacheHierarchy.l2_miss`` runs it: a
+    lookup and, on a miss, the miss count and the fill.  Returns
+    ``(hit, victim)``."""
+    line = addr >> 6
+    if cache.lookup(line, is_write):
+        return True, None
+    cache.misses += 1
+    if not allocate:
+        return False, None
+    return False, cache.allocate(line, qos_id, is_write)
+
+
+def resident(cache, addr):
+    """Whether the line holding ``addr`` is in the cache (touches nothing)."""
+    line = addr >> 6
+    return line in cache._sets[line & cache._set_mask]
+
+
 class TestGeometry:
     def test_capacity(self):
-        assert make_cache(num_sets=4, assoc=2).capacity_bytes == 4 * 2 * 64
+        cache = make_cache(num_sets=4, assoc=2)
+        assert len(cache._state) == 4 * 2  # one state byte per way
+        assert sum(cache.occupancy_by_class().values()) == 0
 
     def test_line_and_set_mapping(self):
         cache = make_cache(num_sets=4)
-        assert cache.line_addr(0x47) == 0x40
-        assert cache.set_index(0x40) == 1
-        assert cache.set_index(0x140) == 1  # wraps modulo num_sets
+        access(cache, 0x47, False, 0)
+        assert resident(cache, 0x40)
+        access(cache, 0x140, False, 0)
+        assert 0x140 >> 6 in cache._sets[1]  # wraps modulo num_sets
 
     def test_rejects_non_power_of_two_sets(self):
         with pytest.raises(ValueError):
@@ -36,114 +58,136 @@ class TestGeometry:
 class TestHitMiss:
     def test_first_access_misses_then_hits(self):
         cache = make_cache()
-        assert not cache.access(0x100, False, qos_id=0).hit
-        assert cache.access(0x100, False, qos_id=0).hit
+        assert not access(cache, 0x100, False, qos_id=0)[0]
+        assert access(cache, 0x100, False, qos_id=0)[0]
         assert cache.hits == 1 and cache.misses == 1
 
     def test_same_line_different_offset_hits(self):
         cache = make_cache()
-        cache.access(0x100, False, 0)
-        assert cache.access(0x13F, False, 0).hit
+        access(cache, 0x100, False, 0)
+        assert access(cache, 0x13F, False, 0)[0]
 
     def test_probe_does_not_allocate_or_touch(self):
         cache = make_cache()
-        assert not cache.probe(0x100)
-        cache.access(0x100, False, 0)
-        assert cache.probe(0x100)
-        assert cache.hits == 0 and cache.misses == 1
+        assert not cache.lookup(0x100 >> 6, False)
+        assert not resident(cache, 0x100)
+        assert cache.hits == 0 and cache.misses == 0  # the caller counts misses
 
     def test_no_allocate_miss(self):
         cache = make_cache()
-        result = cache.access(0x100, False, 0, allocate=False)
-        assert not result.hit and result.victim is None
-        assert not cache.probe(0x100)
+        hit, victim = access(cache, 0x100, False, 0, allocate=False)
+        assert not hit and victim is None
+        assert not resident(cache, 0x100)
 
     def test_miss_rate(self):
         cache = make_cache()
-        cache.access(0x100, False, 0)
-        cache.access(0x100, False, 0)
-        assert cache.miss_rate == 0.5
-        assert make_cache().miss_rate == 0.0
+        access(cache, 0x100, False, 0)
+        access(cache, 0x100, False, 0)
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 class TestEvictionAndDirty:
     def test_lru_victim_is_least_recent(self):
         cache = make_cache(num_sets=1, assoc=2)
-        cache.access(0x000, False, 0)
-        cache.access(0x040, False, 0)
-        cache.access(0x000, False, 0)        # touch line 0
-        result = cache.access(0x080, False, 0)
-        assert result.victim is not None
-        assert result.victim.line_addr == 0x040
-        assert cache.probe(0x000) and not cache.probe(0x040)
+        access(cache, 0x000, False, 0)
+        access(cache, 0x040, False, 0)
+        access(cache, 0x000, False, 0)        # touch line 0
+        _, victim = access(cache, 0x080, False, 0)
+        assert victim is not None
+        assert victim.line_addr == 0x040
+        assert resident(cache, 0x000) and not resident(cache, 0x040)
 
     def test_dirty_eviction_flagged(self):
         cache = make_cache(num_sets=1, assoc=1)
-        cache.access(0x000, True, 0)
-        result = cache.access(0x040, False, 0)
-        assert result.dirty_eviction
+        access(cache, 0x000, True, 0)
+        _, victim = access(cache, 0x040, False, 0)
+        assert victim.dirty
         assert cache.dirty_evictions == 1
 
     def test_clean_eviction_not_flagged(self):
         cache = make_cache(num_sets=1, assoc=1)
-        cache.access(0x000, False, 0)
-        result = cache.access(0x040, False, 0)
-        assert result.victim is not None and not result.dirty_eviction
+        access(cache, 0x000, False, 0)
+        _, victim = access(cache, 0x040, False, 0)
+        assert victim is not None and not victim.dirty
+        assert cache.evictions == 1 and cache.dirty_evictions == 0
 
     def test_write_hit_marks_dirty(self):
         cache = make_cache(num_sets=1, assoc=1)
-        cache.access(0x000, False, 0)
-        cache.access(0x000, True, 0)
-        victim = cache.access(0x040, False, 0).victim
+        access(cache, 0x000, False, 0)
+        access(cache, 0x000, True, 0)
+        _, victim = access(cache, 0x040, False, 0)
         assert victim is not None and victim.dirty
+
+    def test_evicted_line_carries_its_class(self):
+        cache = make_cache(num_sets=1, assoc=1)
+        access(cache, 0x100, True, 3)
+        _, victim = access(cache, 0x140, False, 0)
+        assert (victim.line_addr, victim.qos_id, victim.dirty) == (0x100, 3, True)
+
+
+class TestStateByte:
+    def test_largest_encodable_class_round_trips(self):
+        cache = make_cache(num_sets=1, assoc=1)
+        cache.fill(0x000, qos_id=126, dirty=True)
+        assert cache.occupancy_by_class() == {126: 1}
+        victim = cache.fill(0x040, qos_id=0)
+        assert (victim.qos_id, victim.dirty) == (126, True)
+
+    @pytest.mark.parametrize("qos_id", [127, 255, 1000, -1])
+    def test_unencodable_class_raises_and_changes_nothing(self, qos_id):
+        cache = make_cache(num_sets=1, assoc=2)
+        cache.fill(0x000, qos_id=1, dirty=True)
+        cache.fill(0x040, qos_id=2)
+        sets, state = [dict(s) for s in cache._sets], bytes(cache._state)
+        counters = (cache.hits, cache.misses, cache.evictions, cache.dirty_evictions)
+        with pytest.raises(ValueError, match="qos_id"):
+            cache.fill(0x080, qos_id=qos_id)  # would evict line 0
+        with pytest.raises(ValueError, match="qos_id"):
+            cache.allocate(0x0C0 >> 6, qos_id, True)
+        assert [dict(s) for s in cache._sets] == sets
+        assert bytes(cache._state) == state
+        assert (cache.hits, cache.misses, cache.evictions,
+                cache.dirty_evictions) == counters
 
 
 class TestFillAndInvalidate:
     def test_fill_installs_without_demand_counters(self):
         cache = make_cache()
         assert cache.fill(0x100, qos_id=1) is None
-        assert cache.probe(0x100)
+        assert resident(cache, 0x100)
         assert cache.hits == 0 and cache.misses == 0
 
     def test_fill_existing_line_merges_dirty(self):
         cache = make_cache(num_sets=1, assoc=1)
-        cache.access(0x000, False, 0)
+        access(cache, 0x000, False, 0)
         cache.fill(0x000, qos_id=0, dirty=True)
-        victim = cache.access(0x040, False, 0).victim
+        _, victim = access(cache, 0x040, False, 0)
         assert victim is not None and victim.dirty
-
-    def test_invalidate_returns_line(self):
-        cache = make_cache()
-        cache.access(0x100, True, 3)
-        line = cache.invalidate(0x100)
-        assert line is not None and line.dirty and line.qos_id == 3
-        assert not cache.probe(0x100)
-        assert cache.invalidate(0x100) is None
 
 
 class TestPartitioning:
     def test_class_cannot_evict_outside_its_ways(self):
         partition = WayPartition.exclusive(2, {0: 1, 1: 1})
         cache = make_cache(num_sets=1, assoc=2, partition=partition)
-        cache.access(0x000, False, 0)   # class 0 fills way 0
-        cache.access(0x040, False, 1)   # class 1 fills way 1
-        cache.access(0x080, False, 1)   # class 1 must evict its own line
-        assert cache.probe(0x000)
-        assert not cache.probe(0x040)
-        assert cache.probe(0x080)
+        access(cache, 0x000, False, 0)   # class 0 fills way 0
+        access(cache, 0x040, False, 1)   # class 1 fills way 1
+        access(cache, 0x080, False, 1)   # class 1 must evict its own line
+        assert resident(cache, 0x000)
+        assert not resident(cache, 0x040)
+        assert resident(cache, 0x080)
 
     def test_hit_allowed_in_foreign_way(self):
         partition = WayPartition.exclusive(2, {0: 1, 1: 1})
         cache = make_cache(num_sets=1, assoc=2, partition=partition)
-        cache.access(0x000, False, 0)
-        assert cache.access(0x000, False, 1).hit  # CAT semantics
+        access(cache, 0x000, False, 0)
+        assert access(cache, 0x000, False, 1)[0]  # CAT semantics
 
     def test_occupancy_by_class(self):
         partition = WayPartition.exclusive(4, {0: 2, 1: 2})
         cache = make_cache(num_sets=2, assoc=4, partition=partition)
-        cache.access(0x000, False, 0)
-        cache.access(0x040, False, 1)
-        cache.access(0x080, False, 1)
+        access(cache, 0x000, False, 0)
+        access(cache, 0x040, False, 1)
+        access(cache, 0x080, False, 1)
         occ = cache.occupancy_by_class()
         assert occ == {0: 1, 1: 2}
 
@@ -159,7 +203,7 @@ class TestPartitioning:
 def test_property_occupancy_never_exceeds_capacity(addrs):
     cache = make_cache(num_sets=4, assoc=2)
     for addr in addrs:
-        cache.access(addr, False, qos_id=addr % 3)
+        access(cache, addr, False, qos_id=addr % 3)
     total = sum(cache.occupancy_by_class().values())
     assert total <= cache.num_sets * cache.assoc
     assert cache.hits + cache.misses == len(addrs)
@@ -178,9 +222,9 @@ def test_property_working_set_within_capacity_never_evicts_after_warm(addrs):
     unique = list(dict.fromkeys(addrs))[:8]
     cache = make_cache(num_sets=1, assoc=8)
     for addr in unique:
-        cache.access(addr, False, 0)
+        access(cache, addr, False, 0)
     for addr in unique:
-        assert cache.access(addr, False, 0).hit
+        assert access(cache, addr, False, 0)[0]
 
 
 # ----------------------------------------------------------------------
@@ -252,13 +296,6 @@ class StampScanLru:
         self._touch(set_index, way)
         return None
 
-    def invalidate(self, addr):
-        set_index, way = self._locate(addr)
-        if way is None:
-            return None
-        line, self.ways[set_index][way] = self.ways[set_index][way], None
-        return line
-
 
 def _overlapping_partition():
     partition = WayPartition(4)
@@ -279,16 +316,31 @@ def _as_list(line):
 
 
 def _resident(cache):
-    return [
-        {way: _as_list(line) for way, line in recency.items()}
-        for recency in cache._sets
-    ]
+    """Per set, ``{way: [line_addr, qos_id, dirty]}`` in recency order,
+    read from the set's recency dict and the way state bytes; a way
+    that holds no line must read as empty."""
+    sets = []
+    for set_index, recency in enumerate(cache._sets):
+        base = set_index * cache.assoc
+        states = cache._state[base:base + cache.assoc]
+        assert all(
+            (states[way] == EMPTY) == (way not in recency.values())
+            for way in range(cache.assoc)
+        )
+        sets.append([
+            (way, [line << 6, states[way] >> 1, bool(states[way] & 1)])
+            for line, way in recency.items()
+        ])
+    return sets
 
 
 def _reference_resident(ref):
     return [
-        {way: line for way, line in enumerate(ways) if line is not None}
-        for ways in ref.ways
+        sorted(
+            ((way, line) for way, line in enumerate(ways) if line is not None),
+            key=lambda entry: stamps[entry[0]],
+        )
+        for ways, stamps in zip(ref.ways, ref.stamps)
     ]
 
 
@@ -297,7 +349,7 @@ def _reference_resident(ref):
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["access", "access", "access", "fill", "invalidate"]),
+            st.sampled_from(["access", "access", "access", "fill"]),
             st.integers(min_value=0, max_value=23).map(lambda line: line * 64),
             st.booleans(),
             st.integers(min_value=0, max_value=2),
@@ -307,7 +359,8 @@ def _reference_resident(ref):
     )
 )
 def test_property_recency_order_matches_stamp_scan_lru(partition_kind, ops):
-    """Victims, counters and resident lines equal the stamp-scan LRU's.
+    """Victims, counters, resident lines and their recency order equal
+    the stamp-scan LRU's.
 
     Two sets of four ways and 24 lines force evictions; class 2 has no
     mask (all ways), so under a partition some hits land on lines
@@ -318,14 +371,11 @@ def test_property_recency_order_matches_stamp_scan_lru(partition_kind, ops):
     ref = StampScanLru(2, 4, partition)
     for op, addr, flag, qos_id, allocate in ops:
         if op == "access":
-            victim = cache.access(addr, flag, qos_id, allocate=allocate).victim
+            _, victim = access(cache, addr, flag, qos_id, allocate=allocate)
             expected = ref.access(addr, flag, qos_id, allocate)
-        elif op == "fill":
+        else:
             victim = cache.fill(addr, qos_id, dirty=flag)
             expected = ref.fill(addr, qos_id, flag)
-        else:
-            victim = cache.invalidate(addr)
-            expected = ref.invalidate(addr)
         assert _as_list(victim) == expected
         assert _resident(cache) == _reference_resident(ref)
     counters = ("hits", "misses", "evictions", "dirty_evictions")

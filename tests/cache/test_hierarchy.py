@@ -1,9 +1,8 @@
 """Unit tests for the L2/L3 hierarchy semantics PABST depends on."""
 
-import pytest
-
 from repro.cache.hierarchy import CacheHierarchy, HitLevel
 from repro.cache.partition import WayPartition
+from repro.qos.monitor import OccupancyMonitor
 from repro.sim.config import SystemConfig
 from repro.sim.topology import AddressMap
 
@@ -19,14 +18,14 @@ class TestLevels:
         hierarchy, _ = make_hierarchy()
         outcome = hierarchy.access(0, 0x1000, False, qos_id=0)
         assert outcome.level is HitLevel.MEMORY
-        assert outcome.goes_to_memory and outcome.l2_miss
+        assert outcome.route is not None  # an L2 miss carries its route
 
     def test_second_access_hits_l2(self):
         hierarchy, _ = make_hierarchy()
         hierarchy.access(0, 0x1000, False, 0)
         outcome = hierarchy.access(0, 0x1000, False, 0)
         assert outcome.level is HitLevel.L2
-        assert not outcome.l2_miss and not outcome.goes_to_memory
+        assert outcome.route is None and outcome.mem_writebacks == ()
 
     def test_l2_evicted_line_hits_l3(self):
         hierarchy, config = make_hierarchy()
@@ -105,23 +104,27 @@ class TestPartitionIsolation:
         for i in range(total * 2):
             hierarchy.access(1, 0x40000000 + i * 64, False, 1)
         # class 0 lines survive in the L3 (L2 may have evicted them)
-        occupancy = hierarchy.l3_occupancy_by_class()
-        assert occupancy.get(0, 0) >= len(resident) // 2
+        occupancy = OccupancyMonitor(hierarchy.l3_slices)
+        assert occupancy.occupancy_lines(0) >= len(resident) // 2
 
     def test_occupancy_aggregation(self):
         hierarchy, _ = make_hierarchy()
         hierarchy.access(0, 0x0, False, 0)
         hierarchy.access(0, 0x40, False, 1)
-        occupancy = hierarchy.l3_occupancy_by_class()
-        assert occupancy.get(0, 0) >= 1 and occupancy.get(1, 0) >= 1
+        occupancy = OccupancyMonitor(hierarchy.l3_slices)
+        assert occupancy.occupancy_lines(0) >= 1 and occupancy.occupancy_lines(1) >= 1
 
     def test_l3_capacity_property(self):
         hierarchy, config = make_hierarchy()
         expected = config.cores * config.l3_slice_kb * 1024
-        assert hierarchy.l3_capacity_bytes == expected
+        assert sum(
+            cache.num_sets * cache.assoc * cache.line_bytes
+            for cache in hierarchy.l3_slices
+        ) == expected
 
     def test_l2_miss_rate_tracked(self):
         hierarchy, _ = make_hierarchy()
         hierarchy.access(0, 0x0, False, 0)
         hierarchy.access(0, 0x0, False, 0)
-        assert hierarchy.l2_miss_rate(0) == pytest.approx(0.5)
+        l2 = hierarchy.l2s[0]
+        assert (l2.hits, l2.misses) == (1, 1)

@@ -9,9 +9,11 @@ retained request) shows up as growth proportional to the traffic.
 
 import tracemalloc
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.qos.classes import QoSRegistry
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
+from repro.sim.topology import AddressMap
 from repro.workloads.stream import StreamWorkload
 
 #: Warm-up epochs.  The stream fills the 768 lines it can reach in the
@@ -21,6 +23,12 @@ N = 100
 #: costs about 0.4 KiB an epoch; a per-line decode memo added about
 #: 1.8 KiB an epoch on top of it.
 BYTES_PER_EPOCH = 1024
+#: Traced bytes per resident line of a filled tag store, construction
+#: included.  A set's recency dict entry, its line-number int and the
+#: way's state byte come to about 100 B; an object per line (its
+#: ``CacheLine``, ``line_addr`` int and a flat tag dict entry on top)
+#: cost about 260 B.
+BYTES_PER_LINE = 150
 
 
 def stream_system():
@@ -55,3 +63,26 @@ def test_address_map_holds_no_per_line_container():
     system.run_epochs(10)
     for name, value in vars(system.address_map).items():
         assert isinstance(value, (int, bool)), name
+
+
+def test_filled_tag_store_bytes_per_resident_line():
+    """Fill every L2 and L3 slice of ``default_experiment()`` through the
+    system's miss path; each core streams its own region, a third of
+    the accesses writes and the two classes alternate by core."""
+    config = SystemConfig.default_experiment()
+    address_map = AddressMap(config, num_slices=config.cores)
+    line = config.line_bytes
+    per_core = config.l2_sets * config.l2_assoc + config.l3_slice_sets * config.l3_assoc
+    tracemalloc.start()
+    try:
+        hierarchy = CacheHierarchy(config, address_map)
+        for index in range(per_core):
+            for core in range(config.cores):
+                hierarchy.l2_miss(core, (core << 32) + index * line, index % 3 == 0, core % 2)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    caches = hierarchy.l2s + hierarchy.l3_slices
+    lines = sum(len(recency) for cache in caches for recency in cache._sets)
+    assert lines > 0.9 * sum(cache.num_sets * cache.assoc for cache in caches)
+    assert traced / lines < BYTES_PER_LINE

@@ -108,7 +108,10 @@ class TestL3HitWriteback:
         # the demand line itself is clean in its own L3 slice
         demand_slice = hierarchy.l3_slices[decode(demand)[0]]
         assert demand_slice.fill(demand, 0) is None
-        assert all(victim_slice.probe(addr) for addr in l3_set)
+        assert all(
+            addr >> 6 in victim_slice._sets[(addr >> 6) & victim_slice._set_mask]
+            for addr in l3_set
+        )
 
         writes = []
         original = system._send_writeback

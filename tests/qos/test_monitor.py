@@ -67,9 +67,9 @@ class TestOccupancyMonitor:
         caches = [
             SetAssociativeCache(f"c{i}", num_sets=4, assoc=2) for i in range(2)
         ]
-        caches[0].access(0x000, False, qos_id=0)
-        caches[0].access(0x040, False, qos_id=1)
-        caches[1].access(0x080, False, qos_id=0)
+        caches[0].fill(0x000, qos_id=0)
+        caches[0].fill(0x040, qos_id=1)
+        caches[1].fill(0x080, qos_id=0)
         monitor = OccupancyMonitor(caches)
         assert monitor.occupancy_lines(0) == 2
         assert monitor.occupancy_lines(1) == 1
