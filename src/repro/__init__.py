@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from repro.core.pabst import PabstMechanism
     from repro.dram.timing import DramTiming, PagePolicy
     from repro.qos.classes import QoSClass, QoSRegistry
-    from repro.qos.monitor import BandwidthMonitor, OccupancyMonitor
+    from repro.qos.monitor import BandwidthMonitor
     from repro.qos.shares import proportional_shares, strides_for_weights
     from repro.sim.config import SystemConfig
     from repro.sim.engine import Engine
@@ -64,7 +64,6 @@ __all__ = [
     "Engine",
     "MemcachedWorkload",
     "NoQosMechanism",
-    "OccupancyMonitor",
     "PabstConfig",
     "PabstMechanism",
     "PagePolicy",
@@ -96,7 +95,7 @@ __getattr__ = lazy_exports(__name__, {
     "repro.core.pabst": ["PabstMechanism"],
     "repro.dram.timing": ["DramTiming", "PagePolicy"],
     "repro.qos.classes": ["QoSClass", "QoSRegistry"],
-    "repro.qos.monitor": ["BandwidthMonitor", "OccupancyMonitor"],
+    "repro.qos.monitor": ["BandwidthMonitor"],
     "repro.qos.shares": ["proportional_shares", "strides_for_weights"],
     "repro.sim.config": ["SystemConfig"],
     "repro.sim.engine": ["Engine"],

@@ -19,7 +19,6 @@ Loading performs two handshakes before the module is handed out:
 
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import shutil
@@ -27,6 +26,8 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+
+from repro._sha256 import sha256
 
 __all__ = [
     "SOURCE_PATH",
@@ -55,14 +56,14 @@ def source_fingerprint() -> str:
 
     payload = "|".join(
         (
-            hashlib.sha256(SOURCE_PATH.read_bytes()).hexdigest(),
+            sha256(SOURCE_PATH.read_bytes()).hexdigest(),
             "cpython-{}.{}.{}".format(*sys.version_info[:3]),
             sysconfig.get_platform(),
             _EXT_SUFFIX,
             native.manifest_digest(),
         )
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def artifact_path(cache_dir: str | Path = ".repro-cache") -> Path:

@@ -18,7 +18,7 @@ handler, manifest entry, source marker.
 
 from __future__ import annotations
 
-import hashlib
+from repro._sha256 import sha256
 
 __all__ = [
     "NATIVE_KERNELS",
@@ -61,7 +61,7 @@ def manifest_digest() -> str:
     table would no longer match.
     """
     payload = "\n".join(f"{qual}={kind}" for qual, kind in sorted(NATIVE_KERNELS.items()))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def install_native_kinds(core) -> None:

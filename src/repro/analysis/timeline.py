@@ -67,9 +67,6 @@ class BandwidthTimeline:
             for sample in self._epochs
         ]
 
-    def saturation_series(self) -> list[bool]:
-        return [sample.saturated for sample in self._epochs]
-
     def multiplier_series(self) -> list[int]:
         """Governor M per epoch (-1 where no governor ran)."""
         return [sample.multiplier for sample in self._epochs]

@@ -1,9 +1,9 @@
 """Set-associative cache with write-back, write-allocate semantics.
 
-The model tracks, per line, the owning QoS class (for occupancy monitoring
-and writeback attribution) and a dirty bit.  It is purely functional with
-respect to time: latency is applied by the system layer, which lets the same
-class model the private L2 and the shared, partitioned L3 slices.
+The model tracks, per line, the owning QoS class (for writeback
+attribution) and a dirty bit.  It is purely functional with respect to
+time: latency is applied by the system layer, which lets the same class
+model the private L2 and the shared, partitioned L3 slices.
 
 The tag store holds no Python object per resident line.  Each set is one
 dict from line number to way, in recency order, and one ``bytearray``
@@ -160,14 +160,3 @@ class SetAssociativeCache:
         recency[line_number] = target
         state[base + target] = qos_id << 1 | dirty
         return victim
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def occupancy_by_class(self) -> dict[int, int]:
-        """Resident line count per QoS class (for CMT-style monitoring)."""
-        counts: dict[int, int] = {}
-        for code in self._state:
-            if code != _EMPTY:
-                counts[code >> 1] = counts.get(code >> 1, 0) + 1
-        return counts

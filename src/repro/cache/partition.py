@@ -14,14 +14,18 @@ __all__ = ["WayPartition"]
 
 
 class WayPartition:
-    """Per-class way masks over a cache with ``assoc`` ways."""
+    """Per-class way masks over a cache with ``assoc`` ways.
+
+    ``_allowed_cache`` maps each configured class to the ways it may
+    allocate into, in way order; :meth:`SetAssociativeCache.allocate`
+    reads it directly, and a class missing from it may use every way.
+    """
 
     def __init__(self, assoc: int) -> None:
         if assoc <= 0:
             raise ValueError(f"assoc must be positive, got {assoc}")
         self._assoc = assoc
         self._full_mask = (1 << assoc) - 1
-        self._masks: dict[int, int] = {}
         self._allowed_cache: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -37,7 +41,6 @@ class WayPartition:
             raise ValueError(
                 f"mask {mask:#x} invalid for {self._assoc}-way cache"
             )
-        self._masks[qos_id] = mask
         self._allowed_cache[qos_id] = tuple(
             way for way in range(self._assoc) if mask >> way & 1
         )
@@ -71,40 +74,3 @@ class WayPartition:
             partition.set_ways(qos_id, range(next_way, next_way + count))
             next_way += count
         return partition
-
-    @classmethod
-    def equal_split(cls, assoc: int, qos_ids: Iterable[int]) -> "WayPartition":
-        """Evenly divide all ways among the given classes."""
-        ids = sorted(qos_ids)
-        if not ids:
-            raise ValueError("need at least one QoS class")
-        base = assoc // len(ids)
-        if base == 0:
-            raise ValueError(f"{assoc} ways cannot cover {len(ids)} classes")
-        counts = {qos_id: base for qos_id in ids}
-        for index in range(assoc - base * len(ids)):
-            counts[ids[index]] += 1
-        return cls.exclusive(assoc, counts)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def mask(self, qos_id: int) -> int:
-        """Way bitmask for a class; unconfigured classes may use every way."""
-        return self._masks.get(qos_id, self._full_mask)
-
-    def allowed_ways(self, qos_id: int) -> tuple[int, ...]:
-        """Way indices a class may allocate into."""
-        allowed = self._allowed_cache.get(qos_id)
-        if allowed is None:
-            return tuple(range(self._assoc))
-        return allowed
-
-    def is_exclusive(self) -> bool:
-        """True when no two configured classes share a way."""
-        seen = 0
-        for mask in self._masks.values():
-            if seen & mask:
-                return False
-            seen |= mask
-        return True

@@ -64,6 +64,3 @@ class MshrFile:
         if waiters is None:
             raise KeyError(f"no outstanding miss for line {line_addr:#x}")
         return waiters
-
-    def is_outstanding(self, line_addr: int) -> bool:
-        return line_addr in self._entries

@@ -37,7 +37,9 @@ PERF001   ``numpy`` and ``networkx`` may not be imported anywhere in the
           integer latency tables at build time.  Either import costs
           every process start-up time (numpy also ~15 MB resident) for
           work the package does not need.  (Tests may still use both as
-          oracles.)
+          oracles.)  For the same reason digests come from
+          :mod:`repro._sha256`, CPython's built-in SHA-256: ``hashlib``
+          maps OpenSSL (~3.6 MB resident) into every run.
 PERF002   ``heapq``, and the wheel layout constants (``_WHEEL_*``)
           of ``repro.sim.engine``, may only be imported by
           ``sim/engine.py``.  The timing-wheel scheduler keeps a heap
@@ -273,7 +275,7 @@ class NoBuiltinHash(Rule):
                 node,
                 f"builtin {node.func.id}() is process-dependent "
                 "(PYTHONHASHSEED / allocator layout); derive stable values "
-                "from a digest such as hashlib.sha256 instead",
+                "from a digest such as repro._sha256.sha256 instead",
             )
         self.generic_visit(node)
 

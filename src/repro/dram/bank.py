@@ -51,9 +51,6 @@ class Bank:
         self.accesses = 0
         self.row_hits = 0
 
-    def is_free(self, now: int) -> bool:
-        return now >= self.busy_until
-
     def is_row_hit(self, row: int) -> bool:
         """True when the access would hit the currently open row."""
         return self.open_page and self.open_row == row

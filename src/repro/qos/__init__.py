@@ -1,7 +1,7 @@
-"""QoS framework: classes, shares/strides, and resource monitors."""
+"""QoS framework: classes, shares/strides, and the bandwidth monitor."""
 
 from repro.qos.classes import QoSClass, QoSRegistry
-from repro.qos.monitor import BandwidthMonitor, OccupancyMonitor
+from repro.qos.monitor import BandwidthMonitor
 from repro.qos.policy import BandwidthTargetPolicy
 from repro.qos.shares import (
     DEFAULT_STRIDE_SCALE,
@@ -12,7 +12,7 @@ from repro.qos.shares import (
 )
 
 __all__ = [
-    "BandwidthMonitor", "BandwidthTargetPolicy", "DEFAULT_STRIDE_SCALE", "OccupancyMonitor",
-    "QoSClass", "QoSRegistry", "proportional_share", "proportional_shares",
-    "stride_for_weight", "strides_for_weights",
+    "BandwidthMonitor", "BandwidthTargetPolicy", "DEFAULT_STRIDE_SCALE", "QoSClass",
+    "QoSRegistry", "proportional_share", "proportional_shares", "stride_for_weight",
+    "strides_for_weights",
 ]

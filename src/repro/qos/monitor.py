@@ -1,16 +1,15 @@
-"""Per-class resource monitors (paper Section II-B).
+"""Per-class bandwidth monitor (paper Section II-B).
 
 Commercial QoS frameworks (e.g. Intel RDT) expose per-class memory bandwidth
-and cache occupancy counters that schedulers use when placing workloads.
-These monitors provide the same queries on top of the simulator's statistics,
-and the experiments use them to build the paper's bandwidth timelines.
+counters that schedulers use when placing workloads.  The monitor provides
+the same queries on top of the simulator's statistics.
 """
 
 from __future__ import annotations
 
 from repro.sim.stats import Stats
 
-__all__ = ["BandwidthMonitor", "OccupancyMonitor"]
+__all__ = ["BandwidthMonitor"]
 
 
 class BandwidthMonitor:
@@ -66,23 +65,3 @@ class BandwidthMonitor:
             return 0.0
         return mine / total
 
-
-class OccupancyMonitor:
-    """Cache-occupancy monitoring, analogous to Intel CMT.
-
-    Queries any cache object exposing ``occupancy_by_class()`` (the shared L3
-    in this reproduction) for per-class resident line counts.
-    """
-
-    def __init__(self, caches: list) -> None:
-        self._caches = list(caches)
-
-    def occupancy_lines(self, qos_id: int) -> int:
-        """Total lines the class currently holds across monitored caches."""
-        total = 0
-        for cache in self._caches:
-            total += cache.occupancy_by_class().get(qos_id, 0)
-        return total
-
-    def occupancy_bytes(self, qos_id: int, line_bytes: int = 64) -> int:
-        return self.occupancy_lines(qos_id) * line_bytes

@@ -12,8 +12,9 @@ set hashed here.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
+
+from repro._sha256 import sha256
 
 __all__ = ["source_files", "source_fingerprint"]
 
@@ -36,7 +37,7 @@ def source_fingerprint(root: Path | str | None = None) -> str:
     key = str(root)
     if _cached is not None and _cached[0] == key:
         return _cached[1]
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in source_files(root):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\0")

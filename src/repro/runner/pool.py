@@ -10,8 +10,6 @@ counts a ``pool.broken`` warning.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, process
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,6 +61,11 @@ def _run_pool(
     timeout: float | None,
     progress: Callable[[str], None] | None,
 ) -> list[dict]:
+    # Imported here, the one path that forks: loading the pool costs every
+    # process ~2 MB, and an inline sweep or a cache hit needs none of it.
+    from concurrent.futures import ProcessPoolExecutor, process
+    from concurrent.futures import TimeoutError as FutureTimeoutError
+
     results: list[dict | None] = [None] * len(specs)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:

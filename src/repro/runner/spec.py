@@ -9,10 +9,11 @@ cache (:mod:`repro.runner.cache`) sound.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
+
+from repro._sha256 import sha256
 
 __all__ = ["RunSpec", "specs_for_figure"]
 
@@ -63,7 +64,7 @@ class RunSpec:
 
     def spec_hash(self) -> str:
         """Content hash identifying this spec (first 16 hex chars)."""
-        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
+        digest = sha256(self.canonical_json().encode("utf-8"))
         return digest.hexdigest()[:16]
 
     def label(self) -> str:

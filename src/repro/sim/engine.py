@@ -72,11 +72,11 @@ new fast path, the other backend) cannot move it.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import operator
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro._sha256 import sha256
 from repro.sim.rng import Generator, SeedSequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -641,7 +641,7 @@ class _EngineMixin:
             # A stable digest, NOT builtin hash(): str hashing is salted by
             # PYTHONHASHSEED, which would silently give each process its
             # own streams and break cross-process replay.
-            digest = hashlib.sha256(name.encode("utf-8")).digest()
+            digest = sha256(name.encode("utf-8")).digest()
             spawn_key = int.from_bytes(digest[:8], "big")
             generator = Generator(SeedSequence(self._seed, spawn_key=(spawn_key,)))
             self._rng_children[name] = generator

@@ -129,20 +129,6 @@ class MemoryRequest:
             raise ValueError(f"request {self.req_id} has not completed")
         return self.completed_at - self.created_at
 
-    @property
-    def pacer_delay(self) -> int:
-        """Cycles the request waited at the source governor."""
-        if self.released_at < 0 or self.created_at < 0:
-            raise ValueError(f"request {self.req_id} was never released")
-        return self.released_at - self.created_at
-
-    @property
-    def queue_delay(self) -> int:
-        """Cycles spent waiting in MC queues before the bank access began."""
-        if self.issued_at < 0 or self.arrived_mc_at < 0:
-            raise ValueError(f"request {self.req_id} was never issued to a bank")
-        return self.issued_at - self.arrived_mc_at
-
     # ------------------------------------------------------------------
     # lifecycle introspection (used by the runtime sanitizer)
     # ------------------------------------------------------------------

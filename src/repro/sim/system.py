@@ -604,9 +604,6 @@ class System:
     def peak_bandwidth(self) -> float:
         return self.config.peak_bandwidth
 
-    def outstanding_misses(self, core_id: int) -> int:
-        return self._mshrs[core_id].outstanding
-
     def blocked_at_mc(self, mc_id: int) -> int:
         """Requests queued outside a full controller (not arbitrable)."""
         reads = sum(len(q) for q in self._mc_pending_reads[mc_id].values())

@@ -133,16 +133,6 @@ class MeshTopology:
             coords.append(coord)
         return coords
 
-    @property
-    def num_tiles(self) -> int:
-        return self._cols * self._rows
-
-    def tile_coord(self, tile: int) -> tuple[int, int]:
-        return self._tile_coords[tile]
-
-    def mc_coord(self, mc_id: int) -> tuple[int, int]:
-        return self._mc_coords[mc_id]
-
     @staticmethod
     def hops(src: tuple[int, int], dst: tuple[int, int]) -> int:
         """Shortest-path hop count between two grid coordinates."""
@@ -175,10 +165,6 @@ class MeshTopology:
             for row in self._tile_tile_latency
         ]
         return hit, miss
-
-    def tile_to_tile_latency(self, src_tile: int, dst_tile: int) -> int:
-        """One-way NoC latency between two tiles, in cycles."""
-        return self._tile_tile_latency[src_tile][dst_tile]
 
     def tile_to_mc_latency(self, tile: int, mc_id: int) -> int:
         """One-way NoC latency from a tile to a memory controller."""

@@ -41,7 +41,7 @@ class TestSeries:
 
     def test_sat_and_multiplier_series(self):
         timeline = make_timeline()
-        assert timeline.saturation_series() == [True, False, False]
+        assert [sample.saturated for sample in timeline.epochs] == [True, False, False]
         assert timeline.multiplier_series() == [4, 8, 8]
 
     def test_len(self):

@@ -2,15 +2,20 @@
 
 from repro.cache.hierarchy import CacheHierarchy, HitLevel
 from repro.cache.partition import WayPartition
-from repro.qos.monitor import OccupancyMonitor
 from repro.sim.config import SystemConfig
 from repro.sim.topology import AddressMap
+from tests.cache.test_cache import occupancy
 
 
 def make_hierarchy(partition=None, config=None):
     config = config or SystemConfig.small_test()
     address_map = AddressMap(config, num_slices=config.cores)
     return CacheHierarchy(config, address_map, l3_partition=partition), config
+
+
+def l3_lines(hierarchy, qos_id):
+    """Lines ``qos_id`` holds across every L3 slice."""
+    return sum(occupancy(cache).get(qos_id, 0) for cache in hierarchy.l3_slices)
 
 
 class TestLevels:
@@ -104,15 +109,13 @@ class TestPartitionIsolation:
         for i in range(total * 2):
             hierarchy.access(1, 0x40000000 + i * 64, False, 1)
         # class 0 lines survive in the L3 (L2 may have evicted them)
-        occupancy = OccupancyMonitor(hierarchy.l3_slices)
-        assert occupancy.occupancy_lines(0) >= len(resident) // 2
+        assert l3_lines(hierarchy, 0) >= len(resident) // 2
 
     def test_occupancy_aggregation(self):
         hierarchy, _ = make_hierarchy()
         hierarchy.access(0, 0x0, False, 0)
         hierarchy.access(0, 0x40, False, 1)
-        occupancy = OccupancyMonitor(hierarchy.l3_slices)
-        assert occupancy.occupancy_lines(0) >= 1 and occupancy.occupancy_lines(1) >= 1
+        assert l3_lines(hierarchy, 0) >= 1 and l3_lines(hierarchy, 1) >= 1
 
     def test_l3_capacity_property(self):
         hierarchy, config = make_hierarchy()

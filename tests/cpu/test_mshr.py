@@ -57,9 +57,11 @@ class TestCompletion:
 
     def test_is_outstanding(self):
         mshrs = MshrFile(1)
-        assert not mshrs.is_outstanding(0x100)
+        assert mshrs.outstanding == 0
         mshrs.allocate(0x100, lambda: None)
-        assert mshrs.is_outstanding(0x100)
+        # a full file still merges a miss to its outstanding line
+        assert mshrs.allocate(0x100, lambda: None) is AllocationResult.MERGED
+        assert mshrs.allocate(0x140, lambda: None) is AllocationResult.FULL
 
 
 @given(

@@ -13,20 +13,19 @@ def make_bank(policy=PagePolicy.CLOSED):
 
 class TestBank:
     def test_fresh_bank_is_free(self):
-        assert make_bank().is_free(0)
+        assert make_bank().busy_until == 0
 
     def test_issue_makes_busy_until_recovery(self):
         bank = make_bank()
         bank.issue(now=0, row=5, data_end=68)
-        assert not bank.is_free(68)
-        assert bank.is_free(68 + 30)  # closed page pays tRP
+        assert bank.busy_until == 68 + 30  # closed page pays tRP
         assert bank.accesses == 1
 
     def test_open_page_keeps_row_and_skips_recovery(self):
         bank = make_bank(PagePolicy.OPEN)
         bank.issue(now=0, row=5, data_end=68)
         assert bank.open_row == 5
-        assert bank.is_free(68)
+        assert bank.busy_until == 68
         assert bank.is_row_hit(5) and not bank.is_row_hit(6)
 
     def test_closed_page_never_row_hits(self):

@@ -10,6 +10,11 @@ imports only the modules it executes.  These properties keep that true:
   library, no process pool, no sanitizer or tracer, and no figure
   module — and nothing at all once simulated time is
   running;
+* no simulation process loads OpenSSL: every digest (RNG stream names,
+  the source fingerprint, spec hashes) comes from CPython's built-in
+  SHA-256 (:mod:`repro._sha256`), because ``hashlib`` alone adds ~3.6 MB
+  resident; and a ``workers=1`` sweep, live or from the result cache,
+  loads no process pool either;
 * chaser and SPEC-proxy runs, which draw ``integers`` and ``geometric``
   from :mod:`repro.sim.rng`, load no numpy either, and the ziggurat tables
   (:mod:`repro.sim._ziggurat`) load only once an inversion-path
@@ -21,12 +26,15 @@ Each test runs in its own subprocess so the host interpreter's
 ``sys.modules`` cannot mask a missing import.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -87,6 +95,16 @@ FORBIDDEN_PREFIXES = (
 
 ZIGGURAT = "repro.sim._ziggurat"
 
+#: ``hashlib`` and the OpenSSL bindings it maps.
+OPENSSL = ("hashlib", "_hashlib", "_ssl")
+
+needs_builtin_sha256 = pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None
+    and importlib.util.find_spec("_sha256") is None,
+    reason="this interpreter has no built-in _sha2/_sha256 module, so "
+    "repro._sha256 falls back to hashlib and OpenSSL",
+)
+
 
 def run_two_classes(factory: str) -> dict:
     """Build and run a 7:3 PABST system whose cores run ``factory()``."""
@@ -121,13 +139,22 @@ def forbidden(out: dict) -> list[str]:
     return [name for name in out["loaded"] if name.startswith(FORBIDDEN_PREFIXES)]
 
 
-def test_plain_pabst_run_imports_only_what_it_executes():
-    out = run_two_classes("StreamWorkload")
-    assert out["bytes"] > 0
-    assert forbidden(out) == []
-    assert ZIGGURAT not in out["loaded"]
+@pytest.fixture(scope="module")
+def plain_run() -> dict:
+    return run_two_classes("StreamWorkload")
+
+
+def test_plain_pabst_run_imports_only_what_it_executes(plain_run):
+    assert plain_run["bytes"] > 0
+    assert forbidden(plain_run) == []
+    assert ZIGGURAT not in plain_run["loaded"]
     # imports deferred past build time would be charged to simulated time
-    assert out["during_run"] == []
+    assert plain_run["during_run"] == []
+
+
+@needs_builtin_sha256
+def test_plain_pabst_run_loads_no_openssl(plain_run):
+    assert [name for name in OPENSSL if name in plain_run["loaded"]] == []
 
 
 def test_chaser_run_imports_no_numpy():
@@ -181,3 +208,35 @@ def test_spec_hash_loads_no_simulator_module():
     )
     assert len(out["hash"]) == 16
     assert [name for name in out["loaded"] if name.startswith("repro.sim")] == []
+
+
+@needs_builtin_sha256
+def test_sequential_sweep_loads_no_openssl_and_no_pool(tmp_path):
+    out = run_fresh(
+        f"""
+        import json, sys
+
+        from repro.runner import ResultCache, RunSpec, run_specs
+        from repro.runner.fingerprint import source_fingerprint
+
+        fingerprint = source_fingerprint()
+        spec = RunSpec(
+            figure="arena",
+            cell={{"scenarios": ("readmix",), "mechanisms": ("none",)}},
+        )
+        digest = spec.spec_hash()
+        cache = ResultCache({str(tmp_path / "cache")!r})
+        live = run_specs([spec], workers=1, cache=cache)
+        cached = run_specs([spec], workers=1, cache=cache)
+        print(json.dumps({{
+            "fingerprint": fingerprint,
+            "hash": digest,
+            "runs": [[o.ok, o.cached] for o in live + cached],
+            "loaded": sorted(sys.modules),
+        }}))
+        """
+    )
+    assert len(out["fingerprint"]) == len(out["hash"]) == 16
+    assert out["runs"] == [[True, False], [True, True]]
+    banned = OPENSSL + ("concurrent.futures", "multiprocessing")
+    assert [name for name in out["loaded"] if name.startswith(banned)] == []

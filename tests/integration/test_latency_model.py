@@ -54,7 +54,7 @@ class TestMemoryPath:
         slice_tile = system.address_map.decode(ADDR)[0] % config.cores
         mc_id = system.address_map.mc_of(ADDR)
         expected = (
-            system.topology.tile_to_tile_latency(0, slice_tile)
+            system.topology._tile_tile_latency[0][slice_tile]
             + config.l3_latency
             + system.topology.tile_to_mc_latency(slice_tile, mc_id)
             + config.dram.access_prep(row_hit=False)
@@ -80,7 +80,7 @@ class TestMemoryPath:
 
         slice_tile = system.address_map.decode(ADDR)[0] % config.cores
         expected = (
-            2 * system.topology.tile_to_tile_latency(0, slice_tile)
+            2 * system.topology._tile_tile_latency[0][slice_tile]
             + config.l3_latency
         )
         (addr, done), = prober.completions

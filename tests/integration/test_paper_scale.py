@@ -36,7 +36,7 @@ class TestPaperScale:
         config = paper_system.config
         assert config.cores == 32
         assert config.num_mcs == 4
-        assert paper_system.topology.num_tiles == 32
+        assert len(paper_system.topology._tile_tile_latency) == 32
 
     def test_all_cores_made_progress(self, paper_system):
         for core in paper_system.cores.values():

@@ -58,7 +58,9 @@ class TestConstruction:
             {0: StreamWorkload(), 1: StreamWorkload()},
         )
         partition = system.hierarchy.l3_partition
-        assert partition is not None and partition.is_exclusive()
+        assert partition is not None
+        ways = [set(partition._allowed_cache[qos_id]) for qos_id in (0, 1)]
+        assert ways[0] and ways[1] and not ways[0] & ways[1]
 
     def test_no_partition_when_no_ways_configured(self):
         system = make_system()
@@ -129,7 +131,7 @@ class TestInvariants:
         def probe():
             for core_id in system.cores:
                 checked.append(
-                    system.outstanding_misses(core_id)
+                    system._mshrs[core_id].outstanding
                     <= system.config.l2_mshrs
                 )
             if system.engine.now < 5000:
@@ -148,7 +150,7 @@ class TestInvariants:
             core.accesses_completed for core in system.cores.values()
         )
         outstanding = sum(
-            system.outstanding_misses(core) for core in system.cores
+            system._mshrs[core].outstanding for core in system.cores
         )
         # completed + blocked/in-flight accounts for everything issued
         assert completed <= issued

@@ -1,9 +1,8 @@
-"""Unit tests for the bandwidth/occupancy monitors."""
+"""Unit tests for the bandwidth monitor."""
 
 import pytest
 
-from repro.cache.cache import SetAssociativeCache
-from repro.qos.monitor import BandwidthMonitor, OccupancyMonitor
+from repro.qos.monitor import BandwidthMonitor
 from repro.sim.stats import Stats
 
 
@@ -61,20 +60,3 @@ class TestBandwidthMonitor:
         with pytest.raises(ValueError):
             BandwidthMonitor(Stats(), peak_bytes_per_cycle=0)
 
-
-class TestOccupancyMonitor:
-    def test_counts_lines_across_caches(self):
-        caches = [
-            SetAssociativeCache(f"c{i}", num_sets=4, assoc=2) for i in range(2)
-        ]
-        caches[0].fill(0x000, qos_id=0)
-        caches[0].fill(0x040, qos_id=1)
-        caches[1].fill(0x080, qos_id=0)
-        monitor = OccupancyMonitor(caches)
-        assert monitor.occupancy_lines(0) == 2
-        assert monitor.occupancy_lines(1) == 1
-        assert monitor.occupancy_bytes(0) == 128
-
-    def test_unknown_class_is_zero(self):
-        monitor = OccupancyMonitor([])
-        assert monitor.occupancy_lines(7) == 0

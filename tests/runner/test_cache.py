@@ -1,7 +1,11 @@
 """Tests for the on-disk result cache and source fingerprint."""
 
+import hashlib
+from pathlib import Path
+
+import repro
 from repro.runner.cache import ResultCache
-from repro.runner.fingerprint import source_fingerprint
+from repro.runner.fingerprint import source_files, source_fingerprint
 from repro.runner.spec import RunSpec
 
 
@@ -126,3 +130,14 @@ class TestSourceFingerprint:
         fp._cached = None
         after = source_fingerprint(tmp_path)
         assert before != after
+
+    def test_matches_a_hashlib_oracle(self):
+        """The digest is the documented algorithm, whichever SHA-256 runs it."""
+        root = Path(repro.__file__).resolve().parent
+        oracle = hashlib.sha256()
+        for path in source_files():
+            oracle.update(str(path.relative_to(root)).encode("utf-8"))
+            oracle.update(b"\0")
+            oracle.update(path.read_bytes())
+            oracle.update(b"\0")
+        assert source_fingerprint() == oracle.hexdigest()[:16]

@@ -56,6 +56,16 @@ class TestSpecHash:
         again = RunSpec.from_payload(spec.to_payload())
         assert again.spec_hash() == spec.spec_hash()
 
+    def test_hash_is_pinned(self):
+        """Cache keys do not move: the literal pins the canonical JSON and
+        the SHA-256 behind it, whichever module supplies the digest."""
+        spec = RunSpec(
+            figure="arena",
+            cell={"scenarios": ("readmix",), "mechanisms": ("pabst",)},
+            seed=3,
+        )
+        assert spec.spec_hash() == "1b34db4968e93c4e"
+
     def test_hash_changes_with_cell_mechanism(self):
         """Arena cells carry the mechanism name in the cell, so two
         head-to-heads differing only in mechanism must never share a

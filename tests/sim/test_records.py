@@ -3,12 +3,23 @@
 import pytest
 
 from repro.sim.records import AccessType, MemoryRequest, next_request_id
+from repro.sim.stats import Stats
 
 
 def make_req(**kwargs):
     defaults = dict(addr=0x1000, access=AccessType.READ, qos_id=0, core_id=0)
     defaults.update(kwargs)
     return MemoryRequest(**defaults)
+
+
+def attribute(created=-1, released=-1, arrived=-1, issued=-1):
+    """Stamp a read, complete it at cycle 500 and return its class stats."""
+    req = make_req()
+    req.created_at, req.released_at = created, released
+    req.arrived_mc_at, req.issued_at, req.completed_at = arrived, issued, 500
+    stats = Stats()
+    stats.record_completion(req)
+    return stats.class_stats(req.qos_id)
 
 
 class TestAccessType:
@@ -47,25 +58,23 @@ class TestLatencyProperties:
         with pytest.raises(ValueError):
             _ = req.total_latency
 
+    # The pacer and queue delays are read where a completed read is
+    # accounted: Stats.record_completion splits its latency by stage.
     def test_pacer_delay(self):
-        req = make_req()
-        req.created_at = 10
-        req.released_at = 35
-        assert req.pacer_delay == 25
+        stats = attribute(created=10, released=35, arrived=50, issued=60)
+        assert stats.stage_pacer_sum == 25
 
     def test_pacer_delay_requires_release(self):
-        with pytest.raises(ValueError):
-            _ = make_req().pacer_delay
+        stats = attribute(created=10, arrived=50, issued=60)
+        assert (stats.reads_unattributed, stats.stage_pacer_sum) == (1, 0)
 
     def test_queue_delay(self):
-        req = make_req()
-        req.arrived_mc_at = 200
-        req.issued_at = 260
-        assert req.queue_delay == 60
+        stats = attribute(created=0, released=0, arrived=200, issued=260)
+        assert stats.stage_queue_sum == 60
 
     def test_queue_delay_requires_issue(self):
-        with pytest.raises(ValueError):
-            _ = make_req().queue_delay
+        stats = attribute(created=0, released=0, arrived=200)
+        assert (stats.reads_unattributed, stats.stage_queue_sum) == (1, 0)
 
     def test_fresh_request_has_no_timestamps(self):
         req = make_req()

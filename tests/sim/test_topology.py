@@ -55,7 +55,7 @@ class TestMeshTopology:
     def test_tile_coordinates_cover_grid(self):
         config = SystemConfig.paper_32core()
         mesh = MeshTopology(config)
-        coords = {mesh.tile_coord(t) for t in range(mesh.num_tiles)}
+        coords = set(mesh._tile_coords)
         assert len(coords) == 32
         assert all(0 <= x < 8 and 0 <= y < 4 for x, y in coords)
 
@@ -63,32 +63,32 @@ class TestMeshTopology:
         config = SystemConfig.paper_32core()
         mesh = MeshTopology(config)
         for mc_id in range(config.num_mcs):
-            x, y = mesh.mc_coord(mc_id)
+            x, y = mesh._mc_coords[mc_id]
             assert x in (0, config.mesh_cols - 1)
 
     def test_mc_coords_distinct(self):
         config = SystemConfig.paper_32core()
         mesh = MeshTopology(config)
-        coords = [mesh.mc_coord(m) for m in range(config.num_mcs)]
+        coords = [mesh._mc_coords[m] for m in range(config.num_mcs)]
         assert len(set(coords)) == len(coords)
 
     def test_latency_is_base_plus_hops(self):
         config = SystemConfig.default_experiment(cores=8, num_mcs=2)
         mesh = MeshTopology(config)
-        same = mesh.tile_to_tile_latency(0, 0)
+        same = mesh._tile_tile_latency[0][0]
         assert same == config.noc_base_cycles
-        neighbour = mesh.tile_to_tile_latency(0, 1)
+        neighbour = mesh._tile_tile_latency[0][1]
         assert neighbour == config.noc_base_cycles + config.noc_hop_cycles
 
     def test_shortest_path_equals_manhattan_on_full_mesh(self):
         config = SystemConfig.paper_32core()
         mesh = MeshTopology(config)
-        for a in range(0, mesh.num_tiles, 5):
-            for b in range(0, mesh.num_tiles, 7):
-                ax, ay = mesh.tile_coord(a)
-                bx, by = mesh.tile_coord(b)
+        for a in range(0, len(mesh._tile_coords), 5):
+            for b in range(0, len(mesh._tile_coords), 7):
+                ax, ay = mesh._tile_coords[a]
+                bx, by = mesh._tile_coords[b]
                 manhattan = abs(ax - bx) + abs(ay - by)
-                assert mesh.hops(mesh.tile_coord(a), mesh.tile_coord(b)) == manhattan
+                assert mesh.hops(mesh._tile_coords[a], mesh._tile_coords[b]) == manhattan
 
     def test_tile_to_mc_latency_positive(self):
         config = SystemConfig.default_experiment(cores=8, num_mcs=2)
@@ -132,16 +132,16 @@ class TestDenseLatencyTables:
         for params in self.MESHES:
             config = SystemConfig(**params)
             mesh = MeshTopology(config)
-            for src in range(mesh.num_tiles):
-                for dst in range(mesh.num_tiles):
+            for src in range(len(mesh._tile_coords)):
+                for dst in range(len(mesh._tile_coords)):
                     expected = self._reference_latency(
-                        mesh, config, mesh.tile_coord(src), mesh.tile_coord(dst)
+                        mesh, config, mesh._tile_coords[src], mesh._tile_coords[dst]
                     )
-                    assert mesh.tile_to_tile_latency(src, dst) == expected
-            for tile in range(mesh.num_tiles):
+                    assert mesh._tile_tile_latency[src][dst] == expected
+            for tile in range(len(mesh._tile_coords)):
                 for mc in range(config.num_mcs):
                     expected = self._reference_latency(
-                        mesh, config, mesh.tile_coord(tile), mesh.mc_coord(mc)
+                        mesh, config, mesh._tile_coords[tile], mesh._mc_coords[mc]
                     )
                     assert mesh.tile_to_mc_latency(tile, mc) == expected
 
@@ -155,10 +155,10 @@ class TestDenseLatencyTables:
             cores=cols * rows, mesh_cols=cols, mesh_rows=rows, num_mcs=1
         )
         mesh = MeshTopology(config)
-        for src in range(mesh.num_tiles):
-            sx, sy = mesh.tile_coord(src)
-            for dst in range(mesh.num_tiles):
-                dx, dy = mesh.tile_coord(dst)
+        for src in range(len(mesh._tile_coords)):
+            sx, sy = mesh._tile_coords[src]
+            for dst in range(len(mesh._tile_coords)):
+                dx, dy = mesh._tile_coords[dst]
                 manhattan = abs(sx - dx) + abs(sy - dy)
                 expected = config.noc_base_cycles + manhattan * config.noc_hop_cycles
-                assert mesh.tile_to_tile_latency(src, dst) == expected
+                assert mesh._tile_tile_latency[src][dst] == expected
